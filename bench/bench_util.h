@@ -12,12 +12,15 @@
 //   --out=<path>        write the same JSON document (schema-versioned) to a
 //                       file, independent of --json — the perf-trajectory
 //                       harness input (tools/bench_compare.py)
-// and print a paper-vs-measured comparison. Absolute paper numbers were
-// measured on 1996 hardware at SF=0.2; the *shape* (ratios, orderings,
-// crossovers) is the reproduction target — see EXPERIMENTS.md.
+// (an unknown argument or a malformed number exits with code 2) and print a
+// paper-vs-measured comparison. Absolute paper numbers were measured on 1996
+// hardware at SF=0.2; the *shape* (ratios, orderings, crossovers) is the
+// reproduction target — see EXPERIMENTS.md.
 
 #include <unistd.h>
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
@@ -52,6 +55,37 @@
 namespace r3 {
 namespace bench {
 
+/// Prints `msg` and exits with code 2: the one outcome of a bad command
+/// line, so a typo never runs a bench at a silently wrong setting.
+[[noreturn]] inline void UsageError(const std::string& msg) {
+  std::fprintf(stderr, "error: %s (see --help)\n", msg.c_str());
+  std::exit(2);
+}
+
+/// Whole-string numeric parsers: junk, trailing characters and
+/// out-of-range values are usage errors rather than a silent 0.
+inline double ParseDoubleFlag(const char* name, const char* text) {
+  errno = 0;
+  char* end = nullptr;
+  double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+    UsageError(std::string("--") + name + " expects a number, got '" + text +
+               "'");
+  }
+  return v;
+}
+
+inline int64_t ParseIntFlag(const char* name, const char* text) {
+  errno = 0;
+  char* end = nullptr;
+  long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) {
+    UsageError(std::string("--") + name + " expects an integer, got '" +
+               text + "'");
+  }
+  return v;
+}
+
 struct Flags {
   double sf = 0.01;
   uint64_t seed = 19970607;
@@ -82,7 +116,8 @@ class FlagSet {
     entries_.push_back({name, nullptr, nullptr, target});
   }
 
-  /// Consumes `arg` if it matches a registered flag.
+  /// Consumes `arg` if it matches a registered flag; a malformed Int value
+  /// is a usage error.
   bool TryParse(const char* arg) {
     if (std::strncmp(arg, "--", 2) != 0) return false;
     for (Entry& e : entries_) {
@@ -98,7 +133,7 @@ class FlagSet {
         continue;
       const char* value = arg + 2 + n + 1;
       if (e.int_target != nullptr) {
-        *e.int_target = std::strtoll(value, nullptr, 10);
+        *e.int_target = ParseIntFlag(e.name.c_str(), value);
       } else {
         *e.str_target = value;
       }
@@ -129,9 +164,12 @@ inline Flags ParseFlags(int argc, char** argv, FlagSet* extras = nullptr) {
   Flags f;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--sf=", 5) == 0) {
-      f.sf = std::strtod(argv[i] + 5, nullptr);
+      f.sf = ParseDoubleFlag("sf", argv[i] + 5);
+      if (f.sf <= 0) UsageError("--sf must be positive");
     } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      f.seed = std::strtoull(argv[i] + 7, nullptr, 10);
+      int64_t seed = ParseIntFlag("seed", argv[i] + 7);
+      if (seed < 0) UsageError("--seed must not be negative");
+      f.seed = static_cast<uint64_t>(seed);
     } else if (std::strcmp(argv[i], "--json") == 0) {
       f.json = true;
     } else if (std::strncmp(argv[i], "--trace-json=", 13) == 0) {
@@ -148,9 +186,8 @@ inline Flags ParseFlags(int argc, char** argv, FlagSet* extras = nullptr) {
       std::exit(0);
     } else if (extras != nullptr && extras->TryParse(argv[i])) {
       // consumed by the bench's registered extras
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      std::fprintf(stderr, "warning: unknown flag %s (see --help)\n",
-                   argv[i]);
+    } else {
+      UsageError(std::string("unknown argument ") + argv[i]);
     }
   }
   if (f.json) {

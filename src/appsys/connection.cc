@@ -1,7 +1,5 @@
 #include "appsys/connection.h"
 
-#include "common/trace.h"
-
 namespace r3 {
 namespace appsys {
 namespace {
@@ -20,51 +18,55 @@ std::string JoinBinds(const std::vector<rdbms::Value>& params) {
 
 }  // namespace
 
-void DbConnection::ChargeShipment(const rdbms::QueryResult& result) {
-  stats_.rows_shipped += static_cast<int64_t>(result.rows.size());
-  m_rows_shipped_->Add(static_cast<int64_t>(result.rows.size()));
-  clock_->ChargeTupleShip(static_cast<int64_t>(result.rows.size()));
-}
-
-Result<rdbms::QueryResult> DbConnection::ExecuteSql(
-    const std::string& sql, const std::vector<rdbms::Value>& params) {
-  TraceSpan span(clock_, "interface", "db_call.exec_sql");
-  int64_t start_us = clock_->NowMicros();
-  int64_t phys_before =
-      sql_trace_ != nullptr ? m_bp_physical_reads_->Value() : 0;
+DbConnection::Call DbConnection::BeginCall(const char* span_name) {
+  Call call{TraceSpan(clock_, "interface", span_name), clock_->NowMicros(),
+            sql_trace_ != nullptr ? m_bp_physical_reads_->Value() : 0};
   ++stats_.round_trips;
   m_round_trips_->Add(1);
   clock_->ChargeRoundTrip();
-  R3_ASSIGN_OR_RETURN(rdbms::QueryResult result, db_->Query(sql, params));
-  ChargeShipment(result);
-  span.ArgInt("rows_shipped", static_cast<int64_t>(result.rows.size()));
-  int64_t dur_us = clock_->NowMicros() - start_us;
+  return call;
+}
+
+void DbConnection::FinishCall(const Call& call, const std::string& sql,
+                              const std::vector<rdbms::Value>& params,
+                              SqlTraceEvent e) {
+  int64_t dur_us = clock_->NowMicros() - call.start_us;
   if (workload_monitor_ != nullptr) {
     workload_monitor_->AddDbRequestTime(dur_us);
   }
   if (sql_trace_ != nullptr) {
-    SqlTraceEvent e;
-    e.interface_kind = SqlInterface::kNativeSql;
     e.sql = sql;
     e.binds = JoinBinds(params);
-    e.sim_start_us = start_us;
+    e.sim_start_us = call.start_us;
     e.db_us = dur_us;
-    e.rows = static_cast<int64_t>(result.rows.size());
-    e.physical_reads = m_bp_physical_reads_->Value() - phys_before;
+    e.physical_reads = m_bp_physical_reads_->Value() - call.phys_before;
     sql_trace_->RecordEvent(std::move(e));
   }
+}
+
+void DbConnection::ChargeShipment(int64_t rows) {
+  stats_.rows_shipped += rows;
+  m_rows_shipped_->Add(rows);
+  clock_->ChargeTupleShip(rows);
+}
+
+Result<rdbms::QueryResult> DbConnection::ExecuteSql(
+    const std::string& sql, const std::vector<rdbms::Value>& params) {
+  Call call = BeginCall("db_call.exec_sql");
+  R3_ASSIGN_OR_RETURN(rdbms::QueryResult result, db_->Query(sql, params));
+  const int64_t rows = static_cast<int64_t>(result.rows.size());
+  ChargeShipment(rows);
+  call.span.ArgInt("rows_shipped", rows);
+  SqlTraceEvent e;
+  e.interface_kind = SqlInterface::kNativeSql;
+  e.rows = rows;
+  FinishCall(call, sql, params, std::move(e));
   return result;
 }
 
 Result<rdbms::QueryResult> DbConnection::ExecuteCursor(
     const std::string& sql, const std::vector<rdbms::Value>& params) {
-  TraceSpan span(clock_, "interface", "db_call.cursor");
-  int64_t start_us = clock_->NowMicros();
-  int64_t phys_before =
-      sql_trace_ != nullptr ? m_bp_physical_reads_->Value() : 0;
-  ++stats_.round_trips;
-  m_round_trips_->Add(1);
-  clock_->ChargeRoundTrip();
+  Call call = BeginCall("db_call.cursor");
   rdbms::Database::BindPeekInfo peek;
   R3_ASSIGN_OR_RETURN(rdbms::PreparedStatement * stmt,
                       db_->PrepareWithParams(sql, params, &peek));
@@ -73,17 +75,15 @@ Result<rdbms::QueryResult> DbConnection::ExecuteCursor(
   // re-execution within a known bucket is a hit.
   std::string cursor_key =
       peek.peeked ? sql + '\x1f' + static_cast<char>('0' + peek.bucket) : sql;
-  bool cursor_hit;
-  if (seen_statements_.insert(cursor_key).second) {
-    cursor_hit = false;
-    ++stats_.cursor_cache_misses;
-    m_cursor_misses_->Add(1);
-  } else {
-    cursor_hit = true;
+  const bool cursor_hit = !seen_statements_.insert(cursor_key).second;
+  if (cursor_hit) {
     ++stats_.cursor_cache_hits;
     m_cursor_hits_->Add(1);
+  } else {
+    ++stats_.cursor_cache_misses;
+    m_cursor_misses_->Add(1);
   }
-  if (peek.peeked) span.ArgInt("peek_bucket", peek.bucket);
+  if (peek.peeked) call.span.ArgInt("peek_bucket", peek.bucket);
   R3_ASSIGN_OR_RETURN(rdbms::Cursor cur, db_->OpenCursor(stmt, params));
   rdbms::QueryResult result;
   result.schema = stmt->output_schema();
@@ -96,67 +96,38 @@ Result<rdbms::QueryResult> DbConnection::ExecuteCursor(
     ++fetches;
     // The ship charge is per tuple crossing the interface; batching the
     // fetch amortizes the call, not the per-tuple cost.
-    stats_.rows_shipped += static_cast<int64_t>(batch.size());
-    m_rows_shipped_->Add(static_cast<int64_t>(batch.size()));
-    clock_->ChargeTupleShip(static_cast<int64_t>(batch.size()));
+    ChargeShipment(static_cast<int64_t>(batch.size()));
     for (size_t i = 0; i < batch.size(); ++i) {
       result.rows.push_back(std::move(batch.row(i)));
     }
   }
   R3_RETURN_IF_ERROR(cur.Close());
-  span.ArgInt("rows_shipped", static_cast<int64_t>(result.rows.size()));
-  int64_t dur_us = clock_->NowMicros() - start_us;
-  if (workload_monitor_ != nullptr) {
-    workload_monitor_->AddDbRequestTime(dur_us);
-  }
-  if (sql_trace_ != nullptr) {
-    SqlTraceEvent e;
-    e.interface_kind = SqlInterface::kOpenSql;
-    e.sql = sql;
-    e.binds = JoinBinds(params);
-    e.sim_start_us = start_us;
-    e.db_us = dur_us;
-    e.rows = static_cast<int64_t>(result.rows.size());
-    e.fetches = fetches;
-    e.cursor = cursor_hit ? 1 : 0;
-    e.peeked = peek.peeked;
-    e.bucket = peek.peeked ? peek.bucket : -1;
-    e.physical_reads = m_bp_physical_reads_->Value() - phys_before;
-    sql_trace_->RecordEvent(std::move(e));
-  }
+  const int64_t rows = static_cast<int64_t>(result.rows.size());
+  call.span.ArgInt("rows_shipped", rows);
+  SqlTraceEvent e;
+  e.interface_kind = SqlInterface::kOpenSql;
+  e.rows = rows;
+  e.fetches = fetches;
+  e.cursor = cursor_hit ? 1 : 0;
+  e.peeked = peek.peeked;
+  e.bucket = peek.peeked ? peek.bucket : -1;
+  FinishCall(call, sql, params, std::move(e));
   return result;
 }
 
 Status DbConnection::ExecuteDml(const std::string& sql,
                                 const std::vector<rdbms::Value>& params,
                                 int64_t* affected_rows) {
-  TraceSpan span(clock_, "interface", "db_call.dml");
-  int64_t start_us = clock_->NowMicros();
-  int64_t phys_before =
-      sql_trace_ != nullptr ? m_bp_physical_reads_->Value() : 0;
-  ++stats_.round_trips;
-  m_round_trips_->Add(1);
-  clock_->ChargeRoundTrip();
+  Call call = BeginCall("db_call.dml");
   int64_t affected = 0;
   Status st = db_->Execute(sql, params, nullptr, &affected);
   if (affected_rows != nullptr) *affected_rows = affected;
-  if (!st.ok()) return st;
-  int64_t dur_us = clock_->NowMicros() - start_us;
-  if (workload_monitor_ != nullptr) {
-    workload_monitor_->AddDbRequestTime(dur_us);
-  }
-  if (sql_trace_ != nullptr) {
-    SqlTraceEvent e;
-    e.interface_kind = SqlInterface::kDml;
-    e.sql = sql;
-    e.binds = JoinBinds(params);
-    e.sim_start_us = start_us;
-    e.db_us = dur_us;
-    e.rows = affected;
-    e.physical_reads = m_bp_physical_reads_->Value() - phys_before;
-    sql_trace_->RecordEvent(std::move(e));
-  }
-  return st;
+  R3_RETURN_IF_ERROR(st);
+  SqlTraceEvent e;
+  e.interface_kind = SqlInterface::kDml;
+  e.rows = affected;
+  FinishCall(call, sql, params, std::move(e));
+  return Status::OK();
 }
 
 }  // namespace appsys

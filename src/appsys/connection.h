@@ -9,6 +9,7 @@
 #include "appsys/workload_monitor.h"
 #include "common/sim_clock.h"
 #include "common/status.h"
+#include "common/trace.h"
 #include "rdbms/db.h"
 
 namespace r3 {
@@ -78,7 +79,19 @@ class DbConnection {
   WorkloadMonitor* workload_monitor() { return workload_monitor_; }
 
  private:
-  void ChargeShipment(const rdbms::QueryResult& result);
+  /// What every call through the interface shares: its "interface" span
+  /// and the round-trip charge, made by BeginCall; FinishCall books a
+  /// successful call's simulated time to ST03 and its event to ST05.
+  struct Call {
+    TraceSpan span;
+    int64_t start_us = 0;
+    int64_t phys_before = 0;
+  };
+  Call BeginCall(const char* span_name);
+  /// `e` carries the call's kind-specific fields (interface, rows, ...).
+  void FinishCall(const Call& call, const std::string& sql,
+                  const std::vector<rdbms::Value>& params, SqlTraceEvent e);
+  void ChargeShipment(int64_t rows);
 
   rdbms::Database* db_;
   SimClock* clock_;

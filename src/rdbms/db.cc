@@ -39,8 +39,6 @@ Database::Database(SimClock* clock, DatabaseOptions options)
   catalog_->set_default_engine(options_.default_engine);
   catalog_->set_metrics(metrics_);
   txn_mgr_ = std::make_unique<txn::TxnManager>(pool_.get(), clock_, metrics_);
-  options_.planner.work_mem_bytes = options_.work_mem_bytes;
-  options_.planner.dop = options_.dop;
 }
 
 // ---------------------------------------------------------------------------
@@ -260,8 +258,7 @@ Status Database::UndoOne(const UndoEntry& e) {
 
 void Database::set_dop(int dop) {
   if (dop < 1) dop = 1;
-  if (dop == options_.dop) return;
-  options_.dop = dop;
+  if (dop == options_.planner.dop) return;
   options_.planner.dop = dop;
   // Cached plans embed the old lane count; recompile on next use.
   prepared_.clear();
@@ -284,20 +281,6 @@ void Database::set_batch_rows(size_t batch_rows) {
 uint64_t Database::BeginStatement() {
   m_statements_->Add(1);
   return ++statement_epoch_;
-}
-
-ExecContext Database::MakeExecContext(SubqueryRunnerImpl* runner,
-                                      const std::vector<Value>* params) {
-  ExecContext ctx;
-  ctx.pool = pool_.get();
-  ctx.clock = clock_;
-  ctx.params = params;
-  ctx.subqueries = runner;
-  ctx.work_mem_bytes = options_.work_mem_bytes;
-  ctx.dop = EffectiveExecThreads();
-  ctx.batch_size = options_.batch_rows < 1 ? 1 : options_.batch_rows;
-  ctx.statement_epoch = statement_epoch_;
-  return ctx;
 }
 
 // ---------------------------------------------------------------------------
@@ -335,6 +318,12 @@ Status Cursor::Close() {
 Result<Cursor> Database::OpenCursor(PreparedStatement* stmt,
                                     const std::vector<Value>& params) {
   BeginStatement();
+  return OpenPlan(stmt, params, nullptr);
+}
+
+Result<Cursor> Database::OpenPlan(PreparedStatement* stmt,
+                                  const std::vector<Value>& params,
+                                  ExecContext::Totals* totals) {
   Cursor cur;
   cur.state_ = std::make_unique<Cursor::State>();
   Cursor::State* st = cur.state_.get();
@@ -343,17 +332,40 @@ Result<Cursor> Database::OpenCursor(PreparedStatement* stmt,
   // Covers the whole open..fetch..close window; ends in Cursor::Close after
   // the plan's own Close (State members are destroyed span-first).
   st->span = TraceSpan(clock_, "sql", "execute");
-  stmt->plan_.runner->BindExecution(pool_.get(), clock_, &st->params,
-                                    options_.work_mem_bytes,
-                                    EffectiveExecThreads(),
-                                    options_.batch_rows, statement_epoch_);
   st->snapshot = txn_mgr_->AcquireSnapshot();
-  stmt->plan_.runner->BindMvcc(txn_mgr_->mvcc(), st->snapshot.get());
-  st->ctx = MakeExecContext(stmt->plan_.runner.get(), &st->params);
-  st->ctx.mvcc = txn_mgr_->mvcc();
-  st->ctx.snapshot = st->snapshot.get();
-  R3_RETURN_IF_ERROR(stmt->plan_.root->Open(&st->ctx));
+  ExecContext& ctx = st->ctx;
+  ctx.pool = pool_.get();
+  ctx.clock = clock_;
+  ctx.params = &st->params;
+  ctx.subqueries = stmt->plan_.runner.get();
+  ctx.work_mem_bytes = options_.work_mem_bytes;
+  ctx.dop = EffectiveExecThreads();
+  ctx.batch_size = options_.batch_rows < 1 ? 1 : options_.batch_rows;
+  ctx.statement_epoch = statement_epoch_;
+  ctx.mvcc = txn_mgr_->mvcc();
+  ctx.snapshot = st->snapshot.get();
+  ctx.totals = totals;
+  stmt->plan_.runner->Bind(ctx);
+  R3_RETURN_IF_ERROR(stmt->plan_.root->Open(&ctx));
   return cur;
+}
+
+Status Database::Run(PreparedStatement* stmt, const std::vector<Value>& params,
+                     QueryResult* result, ExecContext::Totals* totals) {
+  R3_ASSIGN_OR_RETURN(Cursor cur, OpenPlan(stmt, params, totals));
+  result->schema = stmt->plan_.output_schema;
+  result->column_names = stmt->plan_.column_names;
+  result->rows.clear();
+  RowBatch batch(cur.state_->ctx.batch_size);
+  while (true) {
+    R3_ASSIGN_OR_RETURN(bool ok, cur.FetchBatch(&batch));
+    if (!ok) break;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      result->rows.push_back(std::move(batch.row(i)));
+    }
+  }
+  cur.state_->span.ArgInt("rows", static_cast<int64_t>(result->rows.size()));
+  return cur.Close();
 }
 
 Status Database::Execute(const std::string& sql,
@@ -366,41 +378,32 @@ Status Database::Execute(const std::string& sql,
   switch (stmt.kind) {
     case Statement::Kind::kSelect: {
       QueryResult local;
-      R3_RETURN_IF_ERROR(
-          ExecuteSelect(*stmt.select, params, result != nullptr ? result : &local));
-      return Status::OK();
+      return ExecuteSelect(sql, *stmt.select, params,
+                           result != nullptr ? result : &local, nullptr)
+          .status();
     }
-    case Statement::Kind::kInsert: {
+    case Statement::Kind::kInsert:
+    case Statement::Kind::kDelete:
+    case Statement::Kind::kUpdate: {
       uint64_t wid = txn_mgr_->AllocWriteId();
       write_id_ = wid;
-      Status st = ExecuteInsert(*stmt.insert, params, &affected);
+      Status st =
+          stmt.kind == Statement::Kind::kInsert
+              ? ExecuteInsert(*stmt.insert, params, &affected)
+          : stmt.kind == Statement::Kind::kDelete
+              ? ExecuteDelete(*stmt.del, params, &affected)
+              : ExecuteUpdate(*stmt.update, params, &affected);
       write_id_ = 0;
       // Autocommit DML's physical effects persist even on mid-statement
       // failure (no statement-level undo), so its version-map footprint
       // commits unconditionally to keep both views consistent.
       txn_mgr_->FinishAutocommitWrite(wid, /*committed=*/true);
       R3_RETURN_IF_ERROR(st);
-      break;
-    }
-    case Statement::Kind::kDelete: {
-      uint64_t wid = txn_mgr_->AllocWriteId();
-      write_id_ = wid;
-      Status st = ExecuteDelete(*stmt.del, params, &affected);
-      write_id_ = 0;
-      txn_mgr_->FinishAutocommitWrite(wid, /*committed=*/true);
-      R3_RETURN_IF_ERROR(st);
       // An autocommit delete is committed now; with no older snapshot
       // alive its deferred index entries drain immediately.
-      R3_RETURN_IF_ERROR(DrainDeferredIndexDeletes(/*force=*/false));
-      break;
-    }
-    case Statement::Kind::kUpdate: {
-      uint64_t wid = txn_mgr_->AllocWriteId();
-      write_id_ = wid;
-      Status st = ExecuteUpdate(*stmt.update, params, &affected);
-      write_id_ = 0;
-      txn_mgr_->FinishAutocommitWrite(wid, /*committed=*/true);
-      R3_RETURN_IF_ERROR(st);
+      if (stmt.kind == Statement::Kind::kDelete) {
+        R3_RETURN_IF_ERROR(DrainDeferredIndexDeletes(/*force=*/false));
+      }
       break;
     }
     case Statement::Kind::kCreateTable:
@@ -469,48 +472,54 @@ Result<QueryResult> Database::Query(const std::string& sql,
   return result;
 }
 
-Status Database::ExecuteSelect(const SelectStmt& stmt,
-                               const std::vector<Value>& params,
-                               QueryResult* result) {
-  BeginStatement();
-  m_hard_parses_->Add(1);
-  SimTimer timer(*clock_);
-  clock_->ChargeStatementCompile();
-  TraceSpan bind_span(clock_, "sql", "bind");
-  Binder binder(catalog_.get());
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bq, binder.BindSelect(stmt));
-  bind_span.End();
-  TraceSpan opt_span(clock_, "sql", "optimize");
-  Optimizer opt(catalog_.get(), options_.planner, metrics_);
-  R3_ASSIGN_OR_RETURN(PhysicalPlan plan, opt.Plan(std::move(bq)));
-  opt_span.End();
-
-  plan.runner->BindExecution(pool_.get(), clock_, &params,
-                             options_.work_mem_bytes, EffectiveExecThreads(),
-                             options_.batch_rows, statement_epoch_);
-  std::shared_ptr<const txn::Snapshot> snapshot = txn_mgr_->AcquireSnapshot();
-  plan.runner->BindMvcc(txn_mgr_->mvcc(), snapshot.get());
-  ExecContext ctx = MakeExecContext(plan.runner.get(), &params);
-  ctx.mvcc = txn_mgr_->mvcc();
-  ctx.snapshot = snapshot.get();
-  result->schema = plan.output_schema;
-  result->column_names = plan.column_names;
-  result->rows.clear();
-  TraceSpan exec_span(clock_, "sql", "execute");
-  R3_RETURN_IF_ERROR(plan.root->Open(&ctx));
-  RowBatch batch(ctx.batch_size);
-  while (true) {
-    R3_ASSIGN_OR_RETURN(bool ok, plan.root->NextBatch(&batch));
-    if (!ok) break;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      result->rows.push_back(std::move(batch.row(i)));
-    }
+Result<std::unique_ptr<PreparedStatement>> Database::Compile(
+    const std::string& sql, bool charged, const SelectStmt* parsed,
+    const std::vector<Value>* peeked_params, PeekClassifier* classifier_out) {
+  // Only a charged compile is on the record: EXPLAIN plans leave no trace.
+  SimClock* traced = charged ? clock_ : nullptr;
+  TraceSpan prepare_span;
+  if (charged) {
+    m_hard_parses_->Add(1);
+    // A prepared statement's whole compile nests under one span; an ad-hoc
+    // statement's parse already ran in Execute, ahead of the charge.
+    if (parsed == nullptr) prepare_span = TraceSpan(clock_, "sql", "prepare");
+    clock_->ChargeStatementCompile();
   }
-  Status close_status = plan.root->Close();
-  exec_span.ArgInt("rows", static_cast<int64_t>(result->rows.size()));
-  exec_span.End();
+  std::unique_ptr<SelectStmt> own;
+  if (parsed == nullptr) {
+    TraceSpan parse_span(traced, "sql", "parse");
+    R3_ASSIGN_OR_RETURN(own, ParseSelect(sql));
+    parsed = own.get();
+  }
+  TraceSpan bind_span(traced, "sql", "bind");
+  Binder binder(catalog_.get());
+  R3_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bq,
+                      binder.BindSelect(*parsed));
+  bind_span.End();
+  if (classifier_out != nullptr) *classifier_out = BuildPeekClassifier(*bq);
+  TraceSpan opt_span(traced, "sql", "optimize");
+  PlannerOptions popts = options_.planner;
+  if (peeked_params != nullptr) {
+    popts.bind_peeking = true;
+    popts.peeked_params = peeked_params;
+  }
+  Optimizer opt(catalog_.get(), popts, metrics_);
+  auto stmt = std::make_unique<PreparedStatement>();
+  R3_ASSIGN_OR_RETURN(stmt->plan_, opt.Plan(std::move(bq)));
+  return stmt;
+}
+
+Result<std::unique_ptr<PreparedStatement>> Database::ExecuteSelect(
+    const std::string& sql, const SelectStmt& sel,
+    const std::vector<Value>& params, QueryResult* result,
+    ExecContext::Totals* totals) {
+  BeginStatement();
+  SimTimer timer(*clock_);
+  R3_ASSIGN_OR_RETURN(std::unique_ptr<PreparedStatement> stmt,
+                      Compile(sql, /*charged=*/true, &sel));
+  R3_RETURN_IF_ERROR(Run(stmt.get(), params, result, totals));
   h_statement_sim_us_->Observe(timer.ElapsedUs());
-  return close_status;
+  return stmt;
 }
 
 Result<PreparedStatement*> Database::Prepare(const std::string& sql) {
@@ -519,55 +528,11 @@ Result<PreparedStatement*> Database::Prepare(const std::string& sql) {
     m_prepared_hits_->Add(1);
     return it->second.get();
   }
-
-  m_hard_parses_->Add(1);
-  TraceSpan prepare_span(clock_, "sql", "prepare");
-  clock_->ChargeStatementCompile();
-  TraceSpan parse_span(clock_, "sql", "parse");
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> sel, ParseSelect(sql));
-  parse_span.End();
-  TraceSpan bind_span(clock_, "sql", "bind");
-  Binder binder(catalog_.get());
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bq, binder.BindSelect(*sel));
-  bind_span.End();
-  TraceSpan opt_span(clock_, "sql", "optimize");
-  Optimizer opt(catalog_.get(), options_.planner, metrics_);
-  R3_ASSIGN_OR_RETURN(PhysicalPlan plan, opt.Plan(std::move(bq)));
-  opt_span.End();
-
-  auto stmt = std::make_unique<PreparedStatement>();
-  stmt->sql_ = sql;
-  stmt->plan_ = std::move(plan);
+  R3_ASSIGN_OR_RETURN(std::unique_ptr<PreparedStatement> stmt,
+                      Compile(sql, /*charged=*/true));
   PreparedStatement* raw = stmt.get();
   prepared_.emplace(sql, std::move(stmt));
   return raw;
-}
-
-Result<std::unique_ptr<PreparedStatement>> Database::CompilePeekedVariant(
-    const std::string& sql, const std::vector<Value>& params,
-    PeekClassifier* classifier_out) {
-  m_hard_parses_->Add(1);
-  TraceSpan prepare_span(clock_, "sql", "prepare");
-  clock_->ChargeStatementCompile();
-  TraceSpan parse_span(clock_, "sql", "parse");
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> sel, ParseSelect(sql));
-  parse_span.End();
-  TraceSpan bind_span(clock_, "sql", "bind");
-  Binder binder(catalog_.get());
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bq, binder.BindSelect(*sel));
-  bind_span.End();
-  if (classifier_out != nullptr) *classifier_out = BuildPeekClassifier(*bq);
-  TraceSpan opt_span(clock_, "sql", "optimize");
-  PlannerOptions popts = options_.planner;
-  popts.peeked_params = &params;
-  Optimizer opt(catalog_.get(), popts, metrics_);
-  R3_ASSIGN_OR_RETURN(PhysicalPlan plan, opt.Plan(std::move(bq)));
-  opt_span.End();
-  auto stmt = std::make_unique<PreparedStatement>();
-  stmt->sql_ = sql;
-  stmt->plan_ = std::move(plan);
-  m_plan_variants_->Add(1);
-  return stmt;
 }
 
 Result<PreparedStatement*> Database::PrepareWithParams(
@@ -576,27 +541,18 @@ Result<PreparedStatement*> Database::PrepareWithParams(
   if (info != nullptr) *info = BindPeekInfo{};
   if (!options_.planner.bind_peeking) return Prepare(sql);
 
+  std::unique_ptr<PreparedStatement> compiled;
   auto it = peeked_prepared_.find(sql);
   if (it == peeked_prepared_.end()) {
     // First sight: one hard parse builds both the classifier and the first
     // variant, filed under the bucket these bind values land in.
     PeekedStatement ps;
-    R3_ASSIGN_OR_RETURN(std::unique_ptr<PreparedStatement> stmt,
-                        CompilePeekedVariant(sql, params, &ps.classifier));
-    double est = PeekEstimate(ps.classifier, params);
-    int bucket = PeekBucket(est);
-    PreparedStatement* raw = stmt.get();
-    ps.variants[static_cast<size_t>(bucket)] = std::move(stmt);
-    peeked_prepared_.emplace(sql, std::move(ps));
-    if (info != nullptr) {
-      info->peeked = true;
-      info->bucket = bucket;
-      info->est_fraction = est;
-    }
-    return raw;
+    R3_ASSIGN_OR_RETURN(compiled, Compile(sql, /*charged=*/true, nullptr,
+                                          &params, &ps.classifier));
+    it = peeked_prepared_.emplace(sql, std::move(ps)).first;
   }
 
-  // Known statement: classify (no simulated charges) and pick the variant.
+  // Classify (no simulated charges) and pick the variant.
   PeekedStatement& ps = it->second;
   double est = PeekEstimate(ps.classifier, params);
   int bucket = PeekBucket(est);
@@ -614,108 +570,68 @@ Result<PreparedStatement*> Database::PrepareWithParams(
     return slot.get();
   }
   // Bucket boundary crossed: compile one new variant for this bucket.
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<PreparedStatement> stmt,
-                      CompilePeekedVariant(sql, params, nullptr));
-  PreparedStatement* raw = stmt.get();
-  slot = std::move(stmt);
-  return raw;
+  if (compiled == nullptr) {
+    R3_ASSIGN_OR_RETURN(compiled,
+                        Compile(sql, /*charged=*/true, nullptr, &params));
+  }
+  m_plan_variants_->Add(1);
+  slot = std::move(compiled);
+  return slot.get();
 }
 
 Result<QueryResult> Database::ExecutePrepared(PreparedStatement* stmt,
                                               const std::vector<Value>& params) {
+  BeginStatement();
   SimTimer timer(*clock_);
-  R3_ASSIGN_OR_RETURN(Cursor cur, OpenCursor(stmt, params));
   QueryResult result;
-  result.schema = stmt->plan_.output_schema;
-  result.column_names = stmt->plan_.column_names;
-  RowBatch batch(options_.batch_rows < 1 ? 1 : options_.batch_rows);
-  while (true) {
-    R3_ASSIGN_OR_RETURN(bool ok, cur.FetchBatch(&batch));
-    if (!ok) break;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      result.rows.push_back(std::move(batch.row(i)));
-    }
-  }
-  R3_RETURN_IF_ERROR(cur.Close());
+  R3_RETURN_IF_ERROR(Run(stmt, params, &result, nullptr));
   h_statement_sim_us_->Observe(timer.ElapsedUs());
   return result;
 }
 
 Result<std::string> Database::Explain(const std::string& sql) {
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> sel, ParseSelect(sql));
-  Binder binder(catalog_.get());
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bq, binder.BindSelect(*sel));
-  Optimizer opt(catalog_.get(), options_.planner, metrics_);
-  R3_ASSIGN_OR_RETURN(PhysicalPlan plan, opt.Plan(std::move(bq)));
-  return plan.Explain();
+  R3_ASSIGN_OR_RETURN(std::unique_ptr<PreparedStatement> stmt,
+                      Compile(sql, /*charged=*/false));
+  return stmt->ExplainPlan();
 }
 
 Result<std::string> Database::Explain(const std::string& sql,
                                       const std::vector<Value>& params) {
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> sel, ParseSelect(sql));
-  Binder binder(catalog_.get());
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bq, binder.BindSelect(*sel));
-  PeekClassifier classifier = BuildPeekClassifier(*bq);
+  PeekClassifier classifier;
+  R3_ASSIGN_OR_RETURN(
+      std::unique_ptr<PreparedStatement> stmt,
+      Compile(sql, /*charged=*/false, nullptr, &params, &classifier));
   double est = PeekEstimate(classifier, params);
   int bucket = PeekBucket(est);
-  std::vector<const TableInfo*> tables;
-  for (const BoundTableRef& bt : bq->tables) tables.push_back(bt.table);
-  PlannerOptions popts = options_.planner;
-  popts.bind_peeking = true;
-  popts.peeked_params = &params;
-  Optimizer opt(catalog_.get(), popts, metrics_);
-  R3_ASSIGN_OR_RETURN(PhysicalPlan plan, opt.Plan(std::move(bq)));
   std::string out =
       str::Format("Peek: bucket=%d est_fraction=%.6f\n", bucket, est);
   const CostModel& cost = DefaultCostModel();
-  for (const TableInfo* t : tables) {
-    out += OptimizerCosts::ForTable(*t, cost).Describe(t->name) + "\n";
+  for (const BoundTableRef& bt : stmt->plan_.query->tables) {
+    out += OptimizerCosts::ForTable(*bt.table, cost).Describe(bt.table->name) +
+           "\n";
   }
-  out += plan.Explain();
+  out += stmt->ExplainPlan();
   return out;
 }
 
 Result<std::string> Database::ExplainAnalyze(const std::string& sql,
                                              const std::vector<Value>& params) {
-  BeginStatement();
-  m_hard_parses_->Add(1);
-  SimTimer timer(*clock_);
-  clock_->ChargeStatementCompile();
+  TraceSpan parse_span(clock_, "sql", "parse");
   R3_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> sel, ParseSelect(sql));
-  Binder binder(catalog_.get());
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bq, binder.BindSelect(*sel));
-  std::vector<const TableInfo*> plan_tables;
-  for (const BoundTableRef& bt : bq->tables) plan_tables.push_back(bt.table);
-  Optimizer opt(catalog_.get(), options_.planner, metrics_);
-  R3_ASSIGN_OR_RETURN(PhysicalPlan plan, opt.Plan(std::move(bq)));
-
-  plan.runner->BindExecution(pool_.get(), clock_, &params,
-                             options_.work_mem_bytes, EffectiveExecThreads(),
-                             options_.batch_rows, statement_epoch_);
-  std::shared_ptr<const txn::Snapshot> snapshot = txn_mgr_->AcquireSnapshot();
-  plan.runner->BindMvcc(txn_mgr_->mvcc(), snapshot.get());
-  ExecContext ctx = MakeExecContext(plan.runner.get(), &params);
-  ctx.mvcc = txn_mgr_->mvcc();
-  ctx.snapshot = snapshot.get();
+  parse_span.End();
   ExecContext::Totals totals;
-  ctx.totals = &totals;
   BufferPoolStats pool_before = pool_->stats();
-  R3_RETURN_IF_ERROR(plan.root->Open(&ctx));
-  RowBatch batch(ctx.batch_size);
-  int64_t result_rows = 0;
-  while (true) {
-    R3_ASSIGN_OR_RETURN(bool ok, plan.root->NextBatch(&batch));
-    if (!ok) break;
-    result_rows += static_cast<int64_t>(batch.size());
-  }
-  R3_RETURN_IF_ERROR(plan.root->Close());
+  QueryResult result;
+  R3_ASSIGN_OR_RETURN(std::unique_ptr<PreparedStatement> stmt,
+                      ExecuteSelect(sql, *sel, params, &result, &totals));
   BufferPoolStats pool_after = pool_->stats();
-  h_statement_sim_us_->Observe(timer.ElapsedUs());
+  const PhysicalPlan& plan = stmt->plan_;
   std::string out = ExplainPlan(*plan.root, /*analyze=*/true);
   out += str::Format(
       "\nTotals: result_rows=%lld exchanged_rows=%lld batches=%lld "
       "opens=%lld closes=%lld",
-      static_cast<long long>(result_rows), static_cast<long long>(totals.rows),
+      static_cast<long long>(result.rows.size()),
+      static_cast<long long>(totals.rows),
       static_cast<long long>(totals.batches),
       static_cast<long long>(totals.opens),
       static_cast<long long>(totals.closes));
@@ -738,7 +654,8 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql,
       static_cast<unsigned long long>(pool_after.page_writes -
                                       pool_before.page_writes),
       hit_pct);
-  for (const TableInfo* t : plan_tables) {
+  for (const BoundTableRef& bt : plan.query->tables) {
+    const TableInfo* t = bt.table;
     if (!t->stats_stale()) continue;
     uint64_t threshold = t->stats.row_count / 10;
     if (threshold < 64) threshold = 64;

@@ -26,20 +26,17 @@ struct DatabaseOptions {
   /// RDBMS buffer cache. 10 MB is what SAP R/3 configures by default for
   /// its back-end (Section 3.3 of the paper); benches keep this setting.
   size_t buffer_pool_bytes = 10u << 20;
+  /// Sort/aggregate memory budget (spills charge simulated I/O).
   size_t work_mem_bytes = 4u << 20;
-  /// Degree of intra-query parallelism (1 = serial, the paper's setting).
-  /// Copied into `planner.dop` at construction; change later via
-  /// Database::set_dop().
-  int dop = 1;
   /// Rows per RowBatch in the execution pipeline (1 = row-at-a-time shape).
   /// Purely a wall-clock knob: results and simulated times do not depend on
   /// it (DESIGN.md §6).
   size_t batch_rows = kDefaultBatchRows;
   /// OS worker-thread cap for parallel plan fragments; 0 (default) follows
-  /// `dop`. Unlike `dop` — which fixes the *plan's* lane count and thereby
-  /// results and simulated times — this is purely a wall-clock knob: the
-  /// same dop-N plan runs its N lanes on up to `exec_threads` threads with
-  /// identical simulated behaviour (DESIGN.md §7).
+  /// `planner.dop`. Unlike dop — which fixes the *plan's* lane count and
+  /// thereby results and simulated times — this is purely a wall-clock
+  /// knob: the same dop-N plan runs its N lanes on up to `exec_threads`
+  /// threads with identical simulated behaviour (DESIGN.md §7).
   int exec_threads = 0;
   /// Storage engine for tables created without an explicit ENGINE clause.
   EngineKind default_engine = EngineKind::kRowHeap;
@@ -58,6 +55,9 @@ struct DatabaseOptions {
   /// Null uses the process-wide GlobalMetrics(). Benches that build several
   /// systems side by side pass one registry per system.
   MetricsRegistry* metrics = nullptr;
+  /// Optimizer settings, including `planner.dop`, the degree of intra-query
+  /// parallelism (1 = serial, the paper's setting; change later via
+  /// Database::set_dop()).
   PlannerOptions planner;
 };
 
@@ -82,7 +82,6 @@ class PreparedStatement {
  private:
   friend class Database;
   friend class Cursor;
-  std::string sql_;
   PhysicalPlan plan_;
 };
 
@@ -159,7 +158,7 @@ class Database {
   /// their lane count at compile time, so the prepared-statement cache is
   /// invalidated.
   void set_dop(int dop);
-  int dop() const { return options_.dop; }
+  int dop() const { return options_.planner.dop; }
 
   /// Changes the execution batch size for subsequent statements (min 1).
   /// Plans don't embed it, so cached prepared statements stay valid.
@@ -305,8 +304,37 @@ class Database {
   Result<std::vector<TableSize>> TableSizes() const;
 
  private:
-  Status ExecuteSelect(const SelectStmt& stmt, const std::vector<Value>& params,
-                       QueryResult* result);
+  /// The one SELECT compile path (parse -> bind -> optimize) behind every
+  /// entry point. A `charged` compile is a hard parse: counted, charged to
+  /// the clock, and traced under "sql/*" spans; an uncharged one (EXPLAIN)
+  /// plans off the record. `parsed` = already parsed by the caller (ad-hoc
+  /// Execute); otherwise the text is parsed here under a "sql/prepare"
+  /// span. `peeked_params` plans with bind peeking on those values, and
+  /// `classifier_out` receives the statement's peek classifier.
+  Result<std::unique_ptr<PreparedStatement>> Compile(
+      const std::string& sql, bool charged, const SelectStmt* parsed = nullptr,
+      const std::vector<Value>* peeked_params = nullptr,
+      PeekClassifier* classifier_out = nullptr);
+
+  /// Native SQL: compiles the statement into a throwaway PreparedStatement
+  /// (a hard parse on every call; never cached) and runs it. Returns the
+  /// executed statement so EXPLAIN ANALYZE can render its counters.
+  Result<std::unique_ptr<PreparedStatement>> ExecuteSelect(
+      const std::string& sql, const SelectStmt& sel,
+      const std::vector<Value>& params, QueryResult* result,
+      ExecContext::Totals* totals);
+
+  /// The one execution setup: binds the plan's subquery runner, acquires
+  /// the snapshot, builds the ExecContext and opens the plan under a
+  /// "sql/execute" span. Does not count a statement (callers do).
+  Result<Cursor> OpenPlan(PreparedStatement* stmt,
+                          const std::vector<Value>& params,
+                          ExecContext::Totals* totals);
+
+  /// Opens a cursor on `stmt`, drains it into `*result` and closes it.
+  Status Run(PreparedStatement* stmt, const std::vector<Value>& params,
+             QueryResult* result, ExecContext::Totals* totals);
+
   Status ExecuteInsert(const InsertStmt& stmt, const std::vector<Value>& params,
                        int64_t* affected);
   Status ExecuteDelete(const DeleteStmt& stmt, const std::vector<Value>& params,
@@ -369,19 +397,10 @@ class Database {
   /// horizon (all of them when `force`). Cheap no-op on an empty queue.
   Status DrainDeferredIndexDeletes(bool force);
 
-  ExecContext MakeExecContext(SubqueryRunnerImpl* runner,
-                              const std::vector<Value>* params);
-
-  /// Hard-parses one plan variant with `params` visible to the planner as
-  /// peeked constants. `classifier_out` (optional) receives the statement's
-  /// peek classifier, extracted before planning consumes the bound query.
-  Result<std::unique_ptr<PreparedStatement>> CompilePeekedVariant(
-      const std::string& sql, const std::vector<Value>& params,
-      PeekClassifier* classifier_out);
-
   /// Effective OS-thread budget for parallel fragments.
   int EffectiveExecThreads() const {
-    return options_.exec_threads > 0 ? options_.exec_threads : options_.dop;
+    return options_.exec_threads > 0 ? options_.exec_threads
+                                     : options_.planner.dop;
   }
 
   /// Advances the statement epoch (operator stats reset on next Open) and

@@ -1,6 +1,7 @@
 #include "rdbms/expr/eval.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/date.h"
 #include "common/str_util.h"
@@ -10,6 +11,33 @@ namespace rdbms {
 
 namespace {
 
+// Checked int64 add/sub/mul: SQL integer overflow is an error, never UB.
+Status CheckedInt(ArithOp op, int64_t a, int64_t b, int64_t* out) {
+  bool overflow = true;
+  switch (op) {
+    case ArithOp::kAdd:
+      overflow = __builtin_add_overflow(a, b, out);
+      break;
+    case ArithOp::kSub:
+      overflow = __builtin_sub_overflow(a, b, out);
+      break;
+    case ArithOp::kMul:
+      overflow = __builtin_mul_overflow(a, b, out);
+      break;
+    case ArithOp::kDiv:
+    case ArithOp::kNeg:
+      return Status::Internal("bad checked integer op");
+  }
+  if (overflow) {
+    return Status::InvalidArgument(
+        str::Format("integer overflow in %lld %c %lld",
+                    static_cast<long long>(a),
+                    op == ArithOp::kAdd ? '+' : op == ArithOp::kSub ? '-' : '*',
+                    static_cast<long long>(b)));
+  }
+  return Status::OK();
+}
+
 Status EvalArith(const Expr& e, const EvalContext& ctx, Value* out) {
   Value l;
   R3_RETURN_IF_ERROR(EvalExpr(*e.children[0], ctx, &l));
@@ -18,12 +46,16 @@ Status EvalArith(const Expr& e, const EvalContext& ctx, Value* out) {
       *out = Value::Null(l.type());
       return Status::OK();
     }
+    int64_t neg = 0;
     switch (l.type()) {
       case DataType::kInt64:
-        *out = Value::Int(-l.int_value());
+        R3_RETURN_IF_ERROR(CheckedInt(ArithOp::kSub, 0, l.int_value(), &neg));
+        *out = Value::Int(neg);
         return Status::OK();
       case DataType::kDecimal:
-        *out = Value::DecimalFromCents(-l.decimal_cents());
+        R3_RETURN_IF_ERROR(
+            CheckedInt(ArithOp::kSub, 0, l.decimal_cents(), &neg));
+        *out = Value::DecimalFromCents(neg);
         return Status::OK();
       case DataType::kDouble:
         *out = Value::Dbl(-l.double_value());
@@ -42,13 +74,18 @@ Status EvalArith(const Expr& e, const EvalContext& ctx, Value* out) {
   // Date +/- integer days.
   if (l.type() == DataType::kDate && r.type() == DataType::kInt64 &&
       (e.arith_op == ArithOp::kAdd || e.arith_op == ArithOp::kSub)) {
-    int64_t days = e.arith_op == ArithOp::kAdd ? r.int_value() : -r.int_value();
-    *out = Value::Date(static_cast<int32_t>(l.date_value() + days));
+    int64_t day = 0;
+    R3_RETURN_IF_ERROR(
+        CheckedInt(e.arith_op, l.date_value(), r.int_value(), &day));
+    if (day < INT32_MIN || day > INT32_MAX) {
+      return Status::InvalidArgument("date arithmetic out of range");
+    }
+    *out = Value::Date(static_cast<int32_t>(day));
     return Status::OK();
   }
   if (l.type() == DataType::kDate && r.type() == DataType::kDate &&
       e.arith_op == ArithOp::kSub) {
-    *out = Value::Int(l.date_value() - r.date_value());
+    *out = Value::Int(int64_t{l.date_value()} - r.date_value());
     return Status::OK();
   }
   if (!IsNumeric(l.type()) || !IsNumeric(r.type())) {
@@ -56,20 +93,23 @@ Status EvalArith(const Expr& e, const EvalContext& ctx, Value* out) {
         str::Format("arithmetic on %s and %s", DataTypeName(l.type()),
                     DataTypeName(r.type())));
   }
-  bool both_int =
-      l.type() == DataType::kInt64 && r.type() == DataType::kInt64;
+  if (l.type() == DataType::kInt64 && r.type() == DataType::kInt64 &&
+      e.arith_op != ArithOp::kDiv) {
+    int64_t v = 0;
+    R3_RETURN_IF_ERROR(
+        CheckedInt(e.arith_op, l.int_value(), r.int_value(), &v));
+    *out = Value::Int(v);
+    return Status::OK();
+  }
   switch (e.arith_op) {
     case ArithOp::kAdd:
-      *out = both_int ? Value::Int(l.int_value() + r.int_value())
-                      : Value::Dbl(l.AsDouble() + r.AsDouble());
+      *out = Value::Dbl(l.AsDouble() + r.AsDouble());
       return Status::OK();
     case ArithOp::kSub:
-      *out = both_int ? Value::Int(l.int_value() - r.int_value())
-                      : Value::Dbl(l.AsDouble() - r.AsDouble());
+      *out = Value::Dbl(l.AsDouble() - r.AsDouble());
       return Status::OK();
     case ArithOp::kMul:
-      *out = both_int ? Value::Int(l.int_value() * r.int_value())
-                      : Value::Dbl(l.AsDouble() * r.AsDouble());
+      *out = Value::Dbl(l.AsDouble() * r.AsDouble());
       return Status::OK();
     case ArithOp::kDiv: {
       double denom = r.AsDouble();
@@ -174,6 +214,9 @@ Status EvalFunc(const Expr& e, const EvalContext& ctx, Value* out) {
       return Status::OK();
     }
     if (args[0].type() == DataType::kInt64) {
+      if (args[0].int_value() == INT64_MIN) {
+        return Status::InvalidArgument("integer overflow in ABS");
+      }
       *out = Value::Int(std::llabs(args[0].int_value()));
     } else {
       *out = Value::Dbl(std::fabs(args[0].AsDouble()));
@@ -188,7 +231,8 @@ Status EvalFunc(const Expr& e, const EvalContext& ctx, Value* out) {
     }
     int64_t d = args[1].AsInt();
     if (d == 0) return Status::InvalidArgument("MOD by zero");
-    *out = Value::Int(args[0].AsInt() % d);
+    // x % -1 is 0; computing INT64_MIN % -1 would trap.
+    *out = Value::Int(d == -1 ? 0 : args[0].AsInt() % d);
     return Status::OK();
   }
   if (f == "ROUND") {

@@ -620,58 +620,24 @@ std::vector<FilledRange> RangesFor(const BoundQuery& bq,
 
 SubqueryRunnerImpl::~SubqueryRunnerImpl() = default;
 
-void SubqueryRunnerImpl::BindExecution(BufferPool* pool, SimClock* clock,
-                                       const std::vector<Value>* params,
-                                       size_t work_mem, int dop,
-                                       size_t batch_rows,
-                                       uint64_t statement_epoch) {
-  pool_ = pool;
-  clock_ = clock;
-  params_ = params;
-  work_mem_ = work_mem;
-  dop_ = dop;
-  batch_rows_ = batch_rows < 1 ? 1 : batch_rows;
-  statement_epoch_ = statement_epoch;
+void SubqueryRunnerImpl::Bind(const ExecContext& ctx) {
+  ctx_ = ctx;
+  ctx_.totals = nullptr;
   for (auto& cs : subqueries) {
     cs->scalar_cached = false;
     cs->exists_cached = false;
     cs->in_set_cached = false;
     cs->in_set.clear();
     cs->in_set_has_null = false;
-    if (cs->runner != nullptr) {
-      cs->runner->BindExecution(pool, clock, params, work_mem, dop,
-                                batch_rows, statement_epoch);
-    }
-  }
-  // Reset per statement; the caller re-binds via BindMvcc when the
-  // statement reads under a snapshot.
-  mvcc_ = nullptr;
-  snapshot_ = nullptr;
-}
-
-void SubqueryRunnerImpl::BindMvcc(txn::MvccManager* mvcc,
-                                  const txn::Snapshot* snapshot) {
-  mvcc_ = mvcc;
-  snapshot_ = snapshot;
-  for (auto& cs : subqueries) {
-    if (cs->runner != nullptr) cs->runner->BindMvcc(mvcc, snapshot);
+    if (cs->runner != nullptr) cs->runner->Bind(ctx_);
   }
 }
 
 ExecContext SubqueryRunnerImpl::MakeContext(CompiledSubquery* cs,
                                             const Row* outer) {
-  ExecContext ctx;
-  ctx.pool = pool_;
-  ctx.clock = clock_;
-  ctx.params = params_;
+  ExecContext ctx = ctx_;
   ctx.subqueries = cs->runner.get();
   ctx.outer_row = outer;
-  ctx.work_mem_bytes = work_mem_;
-  ctx.dop = dop_;
-  ctx.batch_size = batch_rows_;
-  ctx.statement_epoch = statement_epoch_;
-  ctx.mvcc = mvcc_;
-  ctx.snapshot = snapshot_;
   return ctx;
 }
 
@@ -739,7 +705,7 @@ Status SubqueryRunnerImpl::RunInProbe(size_t idx, const Row* outer,
     if (!cs->in_set_cached) {
       ExecContext ctx = MakeContext(cs, nullptr);
       R3_RETURN_IF_ERROR(cs->root->Open(&ctx));
-      cs->scratch.Reset(batch_rows_);  // full drain: batch freely
+      cs->scratch.Reset(ctx_.batch_size);  // full drain: batch freely
       while (true) {
         R3_ASSIGN_OR_RETURN(bool ok, cs->root->NextBatch(&cs->scratch));
         if (!ok) break;

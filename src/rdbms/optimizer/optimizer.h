@@ -23,9 +23,6 @@ struct PlannerOptions {
   /// (Section 4.1 / Table 6). False falls back to a sequential scan.
   bool blind_prefers_index = true;
 
-  /// Sort/aggregate memory budget (spills charge simulated I/O).
-  size_t work_mem_bytes = 4u << 20;
-
   /// Master switch for secondary-index access paths (benches use this for
   /// ablations).
   bool enable_index_scan = true;
@@ -99,36 +96,18 @@ class SubqueryRunnerImpl : public SubqueryRunner {
   Status RunInProbe(size_t idx, const Row* outer, const Value& probe,
                     Value* out) override;
 
-  /// Points the runner (recursively) at the current execution's context
-  /// pieces and clears value caches. Call once per statement execution.
-  /// `dop` is the worker-thread budget forwarded to subquery ExecContexts;
-  /// `batch_rows` the RowBatch capacity for subquery pulls;
-  /// `statement_epoch` stamps subquery ExecContexts so cached plans reset
-  /// their operator stats per top-level statement.
-  void BindExecution(BufferPool* pool, SimClock* clock,
-                     const std::vector<Value>* params, size_t work_mem,
-                     int dop = 1, size_t batch_rows = kDefaultBatchRows,
-                     uint64_t statement_epoch = 0);
-
-  /// Points the runner (recursively) at the statement's MVCC context so
-  /// subquery scans apply the same snapshot-visibility rules as the main
-  /// plan. Call after BindExecution; both null = non-MVCC reads.
-  void BindMvcc(txn::MvccManager* mvcc, const txn::Snapshot* snapshot);
+  /// Points the runner (recursively) at the statement's execution context
+  /// and clears value caches. Call once per statement execution. Subquery
+  /// ExecContexts copy `ctx` (pool, clock, params, budgets, statement epoch,
+  /// MVCC snapshot); only the query-wide `totals` stay with the main plan.
+  void Bind(const ExecContext& ctx);
 
   std::vector<std::unique_ptr<CompiledSubquery>> subqueries;
 
  private:
   ExecContext MakeContext(CompiledSubquery* cs, const Row* outer);
 
-  BufferPool* pool_ = nullptr;
-  SimClock* clock_ = nullptr;
-  const std::vector<Value>* params_ = nullptr;
-  size_t work_mem_ = 4u << 20;
-  int dop_ = 1;
-  size_t batch_rows_ = kDefaultBatchRows;
-  uint64_t statement_epoch_ = 0;
-  txn::MvccManager* mvcc_ = nullptr;
-  const txn::Snapshot* snapshot_ = nullptr;
+  ExecContext ctx_;
 };
 
 struct CompiledSubquery {

@@ -44,6 +44,10 @@ class IQuerySet {
 };
 
 std::unique_ptr<IQuerySet> MakeRdbmsQuerySet(rdbms::Database* db);
+
+/// The SQL text the "rdbms" set runs for query `q` (1..17). For Q15 this is
+/// the revenue aggregation; the set then looks up each top supplier.
+Result<std::string> RdbmsQueryText(int q, const QueryParams& p);
 std::unique_ptr<IQuerySet> MakeNativeQuerySet(appsys::AppServer* app);
 std::unique_ptr<IQuerySet> MakeOpen22QuerySet(appsys::AppServer* app);
 std::unique_ptr<IQuerySet> MakeOpen30QuerySet(appsys::AppServer* app);

@@ -3,6 +3,8 @@
 // expression-tree helpers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/date.h"
 #include "rdbms/expr/eval.h"
 #include "rdbms/sql/parser.h"
@@ -44,6 +46,53 @@ TEST(EvalTest, DateArithmetic) {
   EXPECT_EQ(v.type(), DataType::kDate);
   EXPECT_EQ(date::ToString(v.date_value()), "1998-09-02");
   EXPECT_EQ(EvalConst("DATE '1995-01-10' - DATE '1995-01-01'").int_value(), 9);
+}
+
+TEST(EvalTest, IntegerOverflowIsAnError) {
+  auto lit = [](int64_t v) { return MakeLiteral(Value::Int(v)); };
+  auto eval = [](const ExprPtr& e, Value* out) {
+    EvalContext ctx;
+    return EvalExpr(*e, ctx, out);
+  };
+  Value out;
+  for (const ExprPtr& e :
+       {MakeArith(ArithOp::kAdd, lit(INT64_MAX), lit(1)),
+        MakeArith(ArithOp::kSub, lit(INT64_MIN), lit(1)),
+        MakeArith(ArithOp::kMul, lit(INT64_MAX), lit(2)),
+        MakeArith(ArithOp::kMul, lit(INT64_MIN), lit(-1)),
+        MakeNeg(lit(INT64_MIN)),
+        MakeNeg(MakeLiteral(Value::DecimalFromCents(INT64_MIN))),
+        MakeArith(ArithOp::kAdd, MakeLiteral(Value::Date(0)), lit(INT64_MAX)),
+        MakeArith(ArithOp::kSub, MakeLiteral(Value::Date(0)), lit(INT64_MIN)),
+        // Fits int64 but not the 32-bit day number.
+        MakeArith(ArithOp::kAdd, MakeLiteral(Value::Date(0)),
+                  lit(int64_t{1} << 40))}) {
+    Status st = eval(e, &out);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << e->ToString();
+  }
+  // The edges themselves still evaluate.
+  ASSERT_TRUE(eval(MakeArith(ArithOp::kAdd, lit(INT64_MAX - 1), lit(1)), &out)
+                  .ok());
+  EXPECT_EQ(out.int_value(), INT64_MAX);
+  ASSERT_TRUE(eval(MakeNeg(lit(INT64_MAX)), &out).ok());
+  EXPECT_EQ(out.int_value(), -INT64_MAX);
+  ASSERT_TRUE(eval(MakeArith(ArithOp::kMul, lit(INT64_MIN), lit(1)), &out)
+                  .ok());
+  EXPECT_EQ(out.int_value(), INT64_MIN);
+  // From SQL text, and through the functions that negate or divide.
+  auto sel = ParseSelect("SELECT 9223372036854775807 * 2 FROM t");
+  ASSERT_TRUE(sel.ok());
+  EvalContext ctx;
+  EXPECT_EQ(EvalExpr(*sel.value()->items[0].expr, ctx, &out).code(),
+            StatusCode::kInvalidArgument);
+  std::vector<ExprPtr> abs_args;
+  abs_args.push_back(lit(INT64_MIN));
+  EXPECT_FALSE(eval(MakeFunc("ABS", std::move(abs_args)), &out).ok());
+  std::vector<ExprPtr> mod_args;
+  mod_args.push_back(lit(INT64_MIN));
+  mod_args.push_back(lit(-1));
+  ASSERT_TRUE(eval(MakeFunc("MOD", std::move(mod_args)), &out).ok());
+  EXPECT_EQ(out.int_value(), 0);
 }
 
 TEST(EvalTest, NullPropagatesThroughArithmetic) {

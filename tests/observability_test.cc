@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -390,6 +391,87 @@ TEST(TraceTest, NoStateBleedsBetweenStatementsOnReusedDatabase) {
   auto ea2 = db.ExplainAnalyze(sql);
   ASSERT_TRUE(ea2.ok());
   ExpectSameBytes(ea1.value(), ea2.value(), "EXPLAIN ANALYZE reports");
+}
+
+// -- Native SQL and prepared cursors share one statement pipeline -------------
+
+/// Renders every row of `r` for exact comparison.
+std::vector<std::string> RenderRows(const rdbms::QueryResult& r) {
+  std::vector<std::string> out;
+  for (const rdbms::Row& row : r.rows) {
+    std::string line;
+    for (const Value& v : row) line += v.ToString() + '|';
+    out.push_back(std::move(line));
+  }
+  return out;
+}
+
+// The paper's two ways into the RDBMS: Native SQL hard-parses on every call,
+// Open SQL reuses a cached cursor. On identically loaded databases, an ad-hoc
+// Query() and a Prepare + ExecutePrepared of the same TPC-D text return the
+// same rows, charge the same simulated time and count the same statements
+// and hard parses. Re-execution is the one difference: Query() parses again,
+// the prepared statement does not, and the gap is the compile charge alone.
+TEST(StatementPipelineTest, AdHocAndPreparedRunsAgree) {
+  constexpr double kSf = 0.002;
+  struct System {
+    MetricsRegistry registry;
+    std::unique_ptr<rdbms::Database> db;
+    int64_t Count(const char* name) {
+      return registry.GetCounter(name)->Value();
+    }
+  };
+  System adhoc;
+  System prepared;
+  for (System* s : {&adhoc, &prepared}) {
+    rdbms::DatabaseOptions opts;
+    opts.metrics = &s->registry;
+    s->db = std::make_unique<rdbms::Database>(nullptr, opts);
+    tpcd::DbGen gen(kSf);
+    ASSERT_OK(tpcd::CreateTpcdSchema(s->db.get()));
+    ASSERT_OK(tpcd::LoadTpcdDatabase(s->db.get(), &gen));
+  }
+  const tpcd::QueryParams params = tpcd::QueryParams::Defaults(kSf);
+
+  int64_t reparse_gap_us = -1;
+  for (int round = 0; round < 2; ++round) {
+    for (int q = 1; q <= tpcd::kNumQueries; ++q) {
+      SCOPED_TRACE(::testing::Message() << "round " << round << " Q" << q);
+      auto sql = tpcd::RdbmsQueryText(q, params);
+      ASSERT_TRUE(sql.ok()) << sql.status().ToString();
+
+      const int64_t a_stmts = adhoc.Count("rdbms.sql.statements");
+      const int64_t a_parses = adhoc.Count("rdbms.sql.hard_parses");
+      SimTimer ta(*adhoc.db->clock());
+      auto ra = adhoc.db->Query(sql.value());
+      const int64_t a_us = ta.ElapsedUs();
+      ASSERT_TRUE(ra.ok()) << ra.status().ToString();
+
+      const int64_t b_stmts = prepared.Count("rdbms.sql.statements");
+      const int64_t b_parses = prepared.Count("rdbms.sql.hard_parses");
+      SimTimer tb(*prepared.db->clock());
+      auto stmt = prepared.db->Prepare(sql.value());
+      ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+      auto rb = prepared.db->ExecutePrepared(stmt.value());
+      const int64_t b_us = tb.ElapsedUs();
+      ASSERT_TRUE(rb.ok()) << rb.status().ToString();
+
+      EXPECT_EQ(ra.value().column_names, rb.value().column_names);
+      EXPECT_EQ(RenderRows(ra.value()), RenderRows(rb.value()));
+      EXPECT_EQ(adhoc.Count("rdbms.sql.statements") - a_stmts, 1);
+      EXPECT_EQ(prepared.Count("rdbms.sql.statements") - b_stmts, 1);
+      EXPECT_EQ(adhoc.Count("rdbms.sql.hard_parses") - a_parses, 1);
+      if (round == 0) {
+        EXPECT_EQ(a_us, b_us);
+        EXPECT_EQ(prepared.Count("rdbms.sql.hard_parses") - b_parses, 1);
+      } else {
+        EXPECT_EQ(prepared.Count("rdbms.sql.hard_parses") - b_parses, 0);
+        if (reparse_gap_us < 0) reparse_gap_us = a_us - b_us;
+        EXPECT_GT(reparse_gap_us, 0);
+        EXPECT_EQ(a_us - b_us, reparse_gap_us);
+      }
+    }
+  }
 }
 
 // -- The app layer in the trace, and table-buffer metrics ---------------------
@@ -879,7 +961,7 @@ TEST(ObservabilityDeterminismTest, TraceAndCountersInvariantAcrossThreadsAndBatc
   constexpr double kSf = 0.002;
   MetricsRegistry registry;
   rdbms::DatabaseOptions db_opts;
-  db_opts.dop = 2;  // fixed plan-lane count: parallel plans in every run
+  db_opts.planner.dop = 2;  // fixed plan-lane count: parallel plans always
   db_opts.planner.parallel_threshold_rows = 500;
   db_opts.metrics = &registry;
   rdbms::Database db(nullptr, db_opts);

@@ -2,6 +2,8 @@
 // aggregation, subqueries, views, prepared statements, and plan choice.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "rdbms/db.h"
 
 namespace r3 {
@@ -285,6 +287,25 @@ TEST_F(SqlTest, ExplainParameterizedIsBlindIndex) {
   auto par = db_->Explain("SELECT name FROM emp WHERE id > ?");
   ASSERT_TRUE(par.ok());
   EXPECT_NE(par.value().find("IndexScan"), std::string::npos) << par.value();
+}
+
+TEST_F(SqlTest, IntegerOverflowPlansThenFailsAtExecution) {
+  // The optimizer's plan-time folding of the overflowing constant fails, so
+  // it falls back to default selectivity; execution reports the overflow.
+  const std::string sql =
+      "SELECT name FROM emp WHERE id = 9223372036854775807 * 2";
+  ASSERT_TRUE(db_->Explain(sql).ok());
+  auto res = db_->Query(sql);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+  // Same through a prepared statement whose bind value overflows.
+  auto stmt = db_->Prepare("SELECT name FROM emp WHERE salary > ? + 1");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  auto bad = db_->ExecutePrepared(stmt.value(), {Value::Int(INT64_MAX)});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  // The database stays usable after the failed statements.
+  EXPECT_EQ(Q("SELECT name FROM emp WHERE id = 10").rows.size(), 1u);
 }
 
 TEST_F(SqlTest, OrderByDesc) {
