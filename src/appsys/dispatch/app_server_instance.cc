@@ -16,8 +16,8 @@ AppServerInstance::AppServerInstance(rdbms::Database* db, DataDictionary* dict,
     buffer_->EnableFor(t);
   }
   monitor_ = std::make_unique<WorkloadMonitor>(db_->clock());
-  dispatcher_ = std::make_unique<Dispatcher>(db_->clock(), db_->metrics(),
-                                             options_.dispatcher);
+  dispatcher_ =
+      std::make_unique<Dispatcher>(db_->metrics(), options_.dispatcher);
 }
 
 Status AppServerInstance::Start() {

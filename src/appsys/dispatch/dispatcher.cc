@@ -6,9 +6,8 @@ namespace r3 {
 namespace appsys {
 namespace dispatch {
 
-Dispatcher::Dispatcher(SimClock* clock, MetricsRegistry* metrics,
-                       DispatcherOptions options)
-    : clock_(clock), options_(options) {
+Dispatcher::Dispatcher(MetricsRegistry* metrics, DispatcherOptions options)
+    : options_(options) {
   m_requests_ = metrics->GetCounter("appsys.dispatch.requests");
   m_queued_ = metrics->GetCounter("appsys.dispatch.queued");
   m_rejected_ = metrics->GetCounter("appsys.dispatch.rejected");
@@ -66,28 +65,22 @@ std::optional<PlannedRequest> Dispatcher::PopQueued(WpClass c,
 
 void Dispatcher::MarkBusy(WorkProcess* wp, int64_t now_us, int64_t until_us) {
   wp->busy = true;
-  wp->busy_until_us = until_us;
   wp->busy_us += until_us - now_us;
   wp->steps += 1;
 }
 
 void Dispatcher::MarkFree(WorkProcess* wp) { wp->busy = false; }
 
-void Dispatcher::RecordQueueWait(WpClass c, int64_t arrival_us,
-                                 int64_t wait_us) {
+void Dispatcher::RecordQueueWait(WpClass c, int64_t wait_us) {
   QueueStats& s = stats_[static_cast<size_t>(c)];
   s.total_wait_us += wait_us;
   // The histogram sees every dispatched step (zero waits included — the
   // distribution's mass at 0 is the unsaturated regime); the counter counts
-  // steps that actually waited, mirroring the wait-event log.
+  // steps that actually waited.
   h_wait_us_->Observe(wait_us);
   if (wait_us <= 0) return;
   s.waited_steps += 1;
   m_wait_count_->Add(1);
-  if (WaitEventLog* log = clock_->wait_log()) {
-    log->Record(WaitClass::kDispatchQueue, arrival_us, wait_us,
-                std::string(WpClassName(c)) + " queue");
-  }
 }
 
 void Dispatcher::FinishAccounting(int64_t horizon_us) {

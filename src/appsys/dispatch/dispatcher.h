@@ -8,8 +8,6 @@
 #include "appsys/dispatch/request.h"
 #include "appsys/dispatch/work_process.h"
 #include "common/metrics.h"
-#include "common/sim_clock.h"
-#include "common/wait_event.h"
 
 namespace r3 {
 namespace appsys {
@@ -30,7 +28,9 @@ struct DispatcherOptions {
 /// full (admission control). All times are virtual-timeline microseconds
 /// maintained by the landscape's discrete-event loop — the dispatcher
 /// itself never charges the shared SimClock; queue wait is off-clock time
-/// booked via WorkloadMonitor::AddDispatchWait and WaitClass::kDispatchQueue.
+/// booked once, in the `appsys.wait.dispatch_queue` counter and
+/// `appsys.wait.dispatch_queue_us` histogram (RecordQueueWait), and per
+/// dialog step via WorkloadMonitor::AddDispatchWait.
 ///
 /// The dispatcher owns the server's work processes. Scheduling is
 /// deterministic: the lowest-id free work process wins, queues are strict
@@ -38,8 +38,7 @@ struct DispatcherOptions {
 /// order.
 class Dispatcher {
  public:
-  Dispatcher(SimClock* clock, MetricsRegistry* metrics,
-             DispatcherOptions options);
+  Dispatcher(MetricsRegistry* metrics, DispatcherOptions options);
 
   Dispatcher(const Dispatcher&) = delete;
   Dispatcher& operator=(const Dispatcher&) = delete;
@@ -62,18 +61,13 @@ class Dispatcher {
   /// Pops the FIFO head of the class queue (empty optional when idle).
   std::optional<PlannedRequest> PopQueued(WpClass c, int64_t now_us);
 
-  bool HasQueued(WpClass c) const {
-    return !queues_[static_cast<size_t>(c)].empty();
-  }
-
   /// Marks `wp` busy with a step until `until_us` (virtual timeline).
   void MarkBusy(WorkProcess* wp, int64_t now_us, int64_t until_us);
   void MarkFree(WorkProcess* wp);
 
-  /// Books one dispatched step's queue wait: `appsys.wait.*` metrics, and a
-  /// kDispatchQueue event in the clock-attached WaitEventLog (if any) when
-  /// the step actually waited. Virtual-timeline times, like everything here.
-  void RecordQueueWait(WpClass c, int64_t arrival_us, int64_t wait_us);
+  /// Books one dispatched step's queue wait in the `appsys.wait.*` metrics.
+  /// Virtual-timeline times, like everything here.
+  void RecordQueueWait(WpClass c, int64_t wait_us);
 
   /// A deque for reference stability: AddWorkProcess hands out pointers.
   std::deque<WorkProcess>& wps() { return wps_; }
@@ -103,7 +97,6 @@ class Dispatcher {
  private:
   void AdvanceDepthClock(WpClass c, int64_t now_us);
 
-  SimClock* clock_;
   DispatcherOptions options_;
   std::deque<WorkProcess> wps_;
   std::deque<PlannedRequest> queues_[kNumWpClasses];

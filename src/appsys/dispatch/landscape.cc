@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/fnv.h"
 #include "common/sim_clock.h"
 #include "common/str_util.h"
 
@@ -24,25 +25,19 @@ int64_t Percentile(const std::vector<int64_t>& sorted, int q) {
 // every per-request decision without dumping thousands of outcomes into the
 // bench document.
 uint64_t DigestOutcomes(const std::vector<RequestOutcome>& outcomes) {
-  uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
+  Fnv1a h;
   for (const RequestOutcome& o : outcomes) {
-    mix(static_cast<uint64_t>(o.arrival_us));
-    mix(static_cast<uint64_t>(o.dispatch_us));
-    mix(static_cast<uint64_t>(o.service_us));
-    mix(static_cast<uint64_t>(o.rows));
-    mix((static_cast<uint64_t>(static_cast<uint32_t>(o.instance)) << 32) |
-        static_cast<uint32_t>(o.wp));
-    mix((static_cast<uint64_t>(o.wp_class) << 2) |
-        (static_cast<uint64_t>(o.rejected) << 1) |
-        static_cast<uint64_t>(o.ok));
+    h.AddU64(static_cast<uint64_t>(o.arrival_us));
+    h.AddU64(static_cast<uint64_t>(o.dispatch_us));
+    h.AddU64(static_cast<uint64_t>(o.service_us));
+    h.AddU64(static_cast<uint64_t>(o.rows));
+    h.AddU64((static_cast<uint64_t>(static_cast<uint32_t>(o.instance)) << 32) |
+             static_cast<uint32_t>(o.wp));
+    h.AddU64((static_cast<uint64_t>(o.wp_class) << 2) |
+             (static_cast<uint64_t>(o.rejected) << 1) |
+             static_cast<uint64_t>(o.ok));
   }
-  return h;
+  return h.value();
 }
 
 }  // namespace
@@ -108,7 +103,7 @@ void SystemLandscape::StartExecution(int inst_idx, WorkProcess* wp,
   AppServerInstance* inst = instances_[inst_idx].get();
   Dispatcher* disp = inst->dispatcher();
   const int64_t wait_us = now_us - req.arrival_us;
-  disp->RecordQueueWait(req.wp_class, req.arrival_us, wait_us);
+  disp->RecordQueueWait(req.wp_class, wait_us);
 
   WorkloadMonitor* mon = inst->monitor();
   mon->BeginStep(req.script.tcode);

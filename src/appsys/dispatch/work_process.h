@@ -35,7 +35,6 @@ struct WorkProcess {
 
   // -- Scheduling state (virtual timeline, maintained by the dispatcher) ----
   bool busy = false;
-  int64_t busy_until_us = 0;
   int64_t busy_us = 0;  ///< accumulated service time (utilization numerator)
   int64_t steps = 0;    ///< dialog steps executed
 };

@@ -67,7 +67,8 @@ class WorkloadMonitor {
   /// event scheduler charges queueing on its own timeline, not the shared
   /// SimClock), so it *extends* the step's total instead of re-attributing
   /// part of the clock span. Response time = queue wait + service, exactly
-  /// like the real ST03's "wait time" column.
+  /// like the real ST03's "wait time" column. This is the per-step view of
+  /// the wait Dispatcher::RecordQueueWait books in `appsys.wait.*`.
   void AddDispatchWait(int64_t sim_us);
   /// Books program/statement load time (ST03's "load time" column).
   void AddLoadTime(int64_t sim_us);

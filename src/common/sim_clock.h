@@ -11,7 +11,6 @@
 namespace r3 {
 
 class Tracer;
-class WaitEventLog;
 
 /// Deterministic virtual clock.
 ///
@@ -103,18 +102,11 @@ class SimClock {
   Tracer* tracer() const { return tracer_; }
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
-  /// Same rendezvous pattern for the wait-event log (common/wait_event.h):
-  /// attached by the WaitEventLog's constructor, null means wait recording
-  /// is off and each site pays one pointer test.
-  WaitEventLog* wait_log() const { return wait_log_; }
-  void set_wait_log(WaitEventLog* log) { wait_log_ = log; }
-
  private:
   const CostModel model_;
   int64_t now_us_ = 0;
   Tracer* tracer_ = nullptr;
-  WaitEventLog* wait_log_ = nullptr;
-  static thread_local Lane* tl_active_lane_;
+  static inline constinit thread_local Lane* tl_active_lane_ = nullptr;
 };
 
 /// RAII lane scope for worker threads.

@@ -94,7 +94,8 @@ Status HashAggOp::OpenImpl(ExecContext* ctx) {
     Row out;
     for (const Expr* call : agg_calls_) {
       AggState empty;
-      out.push_back(empty.Finalize(*call));
+      R3_ASSIGN_OR_RETURN(Value v, empty.Finalize(*call));
+      out.push_back(std::move(v));
     }
     results_.push_back(std::move(out));
     return Status::OK();
@@ -110,7 +111,8 @@ Status HashAggOp::OpenImpl(ExecContext* ctx) {
   for (auto& [k, g] : ordered) {
     Row out = std::move(g->keys);
     for (size_t i = 0; i < agg_calls_.size(); ++i) {
-      out.push_back(g->states[i].Finalize(*agg_calls_[i]));
+      R3_ASSIGN_OR_RETURN(Value v, g->states[i].Finalize(*agg_calls_[i]));
+      out.push_back(std::move(v));
     }
     results_.push_back(std::move(out));
   }

@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 
+#include "common/status.h"
 #include "rdbms/expr/expr.h"
 #include "rdbms/index/key_codec.h"
 #include "rdbms/value.h"
@@ -16,11 +17,16 @@ namespace rdbms {
 /// HashAggOp and the parallel partial-aggregation pipeline: workers each
 /// Accumulate() into private states, which the gather barrier combines with
 /// Merge() before Finalize().
+///
+/// Integer sums accumulate in 128 bits, which cannot overflow for any row
+/// count, and Finalize() range-checks the total. So SUM over BIGINT fails
+/// with InvalidArgument exactly when the true sum leaves int64, whatever
+/// the accumulation order, serial or per-lane partials.
 struct AggState {
   int64_t count = 0;
   double sum = 0.0;
   bool sum_is_int = true;
-  int64_t isum = 0;
+  __int128 isum = 0;
   Value min;
   Value max;
   std::set<std::string> distinct;  // encoded values, for DISTINCT aggs
@@ -74,15 +80,18 @@ struct AggState {
     }
   }
 
-  Value Finalize(const Expr& call) const {
+  Result<Value> Finalize(const Expr& call) const {
     switch (call.agg_func) {
       case AggFunc::kCountStar:
       case AggFunc::kCount:
         return Value::Int(count);
       case AggFunc::kSum:
         if (count == 0) return Value::Null(DataType::kDouble);
-        if (sum_is_int) return Value::Int(isum);
-        return Value::Dbl(sum);
+        if (!sum_is_int) return Value::Dbl(sum);
+        if (isum > INT64_MAX || isum < INT64_MIN) {
+          return Status::InvalidArgument("integer overflow in SUM");
+        }
+        return Value::Int(static_cast<int64_t>(isum));
       case AggFunc::kAvg:
         if (count == 0) return Value::Null(DataType::kDouble);
         return Value::Dbl(sum / static_cast<double>(count));

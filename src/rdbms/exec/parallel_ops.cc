@@ -295,7 +295,8 @@ Status GatherOp::OpenImpl(ExecContext* ctx) {
     Row out;
     for (const Expr* call : agg_calls_) {
       AggState empty;
-      out.push_back(empty.Finalize(*call));
+      R3_ASSIGN_OR_RETURN(Value v, empty.Finalize(*call));
+      out.push_back(std::move(v));
     }
     agg_results_.push_back(std::move(out));
     return Status::OK();
@@ -304,7 +305,9 @@ Status GatherOp::OpenImpl(ExecContext* ctx) {
   for (auto& [key, group] : merged) {
     Row out = std::move(group.keys);
     for (size_t i = 0; i < agg_calls_.size(); ++i) {
-      out.push_back(group.states[i].Finalize(*agg_calls_[i]));
+      R3_ASSIGN_OR_RETURN(Value v,
+                          group.states[i].Finalize(*agg_calls_[i]));
+      out.push_back(std::move(v));
     }
     agg_results_.push_back(std::move(out));
   }

@@ -1,5 +1,6 @@
 #include "rdbms/row.h"
 
+#include <cstdint>
 #include <cstring>
 
 #include "common/str_util.h"
@@ -54,6 +55,12 @@ Status SerializeRow(const Schema& schema, const Row& row, std::string* out) {
         out->push_back(v.bool_value() ? 1 : 0);
         break;
       case DataType::kInt64:
+        if (col.length == 4 &&
+            (v.int_value() < INT32_MIN || v.int_value() > INT32_MAX)) {
+          return Status::InvalidArgument(str::Format(
+              "value %lld out of range for INTEGER column %s",
+              static_cast<long long>(v.int_value()), col.name.c_str()));
+        }
         AppendFixedInt(out, static_cast<uint64_t>(v.int_value()),
                        col.length == 4 ? 4 : 8);
         break;

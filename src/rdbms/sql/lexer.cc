@@ -1,6 +1,8 @@
 #include "rdbms/sql/lexer.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/str_util.h"
@@ -60,12 +62,23 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
         }
       }
       std::string text = sql.substr(start, i - start);
+      // strtoll/strtod clamp an out-of-range literal to the type's limit;
+      // reject it instead of running the query on a different number.
+      errno = 0;
+      bool out_of_range = false;
       if (is_float) {
         t.type = TokenType::kFloat;
         t.float_value = std::strtod(text.c_str(), nullptr);
+        out_of_range = std::isinf(t.float_value);
       } else {
         t.type = TokenType::kInteger;
         t.int_value = std::strtoll(text.c_str(), nullptr, 10);
+        out_of_range = errno == ERANGE;
+      }
+      if (out_of_range) {
+        return Status::InvalidArgument(
+            str::Format("numeric literal %s out of range at offset %zu",
+                        text.c_str(), t.position));
       }
       t.text = std::move(text);
       out.push_back(std::move(t));

@@ -6,7 +6,6 @@
 
 #include "common/str_util.h"
 #include "common/trace.h"
-#include "common/wait_event.h"
 
 namespace r3 {
 namespace rdbms {
@@ -97,11 +96,6 @@ bool BufferPool::ChargeRead(PageId id) {
     // Gather span already carries the workers' merged critical path.
     t->Complete("io", sequential ? "page_read.seq" : "page_read.rand",
                 clock_->NowMicros() - cost_us, cost_us);
-  }
-  if (WaitEventLog* wl = clock_->wait_log()) {
-    // Lane-active calls are dropped inside Record() for the same reason.
-    wl->Record(WaitClass::kBufferPoolIo, clock_->NowMicros() - cost_us,
-               cost_us, sequential ? "page_read.seq" : "page_read.rand");
   }
   return sequential;
 }

@@ -212,7 +212,7 @@ class BufferPool {
   Counter* m_sequential_reads_;
   Counter* m_random_reads_;
   Counter* m_page_writes_;
-  // Wait-event mirrors of the physical-read stalls (DESIGN.md §12).
+  // The physical-read stalls, booked under their wait class (DESIGN.md §12).
   Counter* m_wait_io_;
   Histogram* h_wait_io_us_;
   std::vector<Frame> frames_;

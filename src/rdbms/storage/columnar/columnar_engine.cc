@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/fnv.h"
 #include "common/str_util.h"
 #include "rdbms/row.h"
 #include "rdbms/txn/mvcc.h"
@@ -534,12 +535,7 @@ Result<uint64_t> ColumnarEngine::Checksum() const {
     for (size_t c = 0; c < cols_.size(); ++c) row.push_back(ValueAt(c, idx));
     rec.clear();
     R3_RETURN_IF_ERROR(SerializeRow(*schema_, row, &rec));
-    uint64_t h = 1469598103934665603ull;  // FNV offset basis
-    for (unsigned char ch : rec) {
-      h ^= ch;
-      h *= 1099511628211ull;  // FNV prime
-    }
-    sum += h;
+    sum += Fnv1aHash(rec);
     ++count;
   }
   return sum + count * 0x9E3779B97F4A7C15ull;

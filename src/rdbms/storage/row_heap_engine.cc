@@ -3,6 +3,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fnv.h"
 #include "rdbms/row.h"
 #include "rdbms/storage/page.h"
 #include "rdbms/txn/mvcc.h"
@@ -160,12 +161,7 @@ Result<uint64_t> RowHeapEngine::Checksum() const {
     for (uint16_t s = 0; s < page.slot_count(); ++s) {
       if (!page.IsLive(s)) continue;
       R3_ASSIGN_OR_RETURN(std::string_view rec, page.Read(s));
-      uint64_t h = 1469598103934665603ull;  // FNV offset basis
-      for (unsigned char c : rec) {
-        h ^= c;
-        h *= 1099511628211ull;  // FNV prime
-      }
-      sum += h;
+      sum += Fnv1aHash(rec);
       ++count;
     }
   }

@@ -71,22 +71,13 @@ std::string LockKey::DebugString() const {
   return s;
 }
 
-LockManager::LockManager(MetricsRegistry* metrics, SimClock* clock)
-    : clock_(clock) {
+LockManager::LockManager(MetricsRegistry* metrics) {
   MetricsRegistry* m = metrics != nullptr ? metrics : GlobalMetrics();
   m_lock_waits_ = m->GetCounter("rdbms.txn.lock_waits");
   m_deadlock_aborts_ = m->GetCounter("rdbms.txn.deadlock_aborts");
   m_wait_lock_ = m->GetCounter("rdbms.wait.lock_wait");
   m_wait_deadlock_ = m->GetCounter("rdbms.wait.deadlock_abort");
   h_wait_us_ = m->GetHistogram("rdbms.txn.lock_wait_wall_us");
-}
-
-void LockManager::RecordWaitEvent(WaitClass c, const LockKey& key) {
-  if (clock_ == nullptr) return;
-  if (WaitEventLog* wl = clock_->wait_log()) {
-    // Times are 0 by design (see constructor comment).
-    wl->Record(c, 0, 0, key.DebugString());
-  }
 }
 
 bool LockManager::Grantable(const Resource& res, uint64_t txn_id,
@@ -136,12 +127,6 @@ uint64_t LockManager::DetectDeadlockLocked(const Resource& res,
       victims_.insert(victim);
       m_deadlock_aborts_->Increment();
       m_wait_deadlock_->Increment();
-      if (clock_ != nullptr) {
-        if (WaitEventLog* wl = clock_->wait_log()) {
-          wl->Record(WaitClass::kDeadlockAbort, 0, 0,
-                     "txn" + std::to_string(victim));
-        }
-      }
       return victim;
     }
     if (!visited.insert(next).second) continue;
@@ -177,7 +162,6 @@ Status LockManager::Acquire(uint64_t txn_id, LockKey key, LockMode mode) {
       waited = true;
       m_lock_waits_->Increment();
       m_wait_lock_->Increment();
-      RecordWaitEvent(WaitClass::kLockWait, key);
     }
     uint64_t victim = DetectDeadlockLocked(res, txn_id, mode);
     if (victim != 0) {

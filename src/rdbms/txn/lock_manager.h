@@ -11,9 +11,7 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/sim_clock.h"
 #include "common/status.h"
-#include "common/wait_event.h"
 
 namespace r3 {
 namespace rdbms {
@@ -79,14 +77,11 @@ struct LockKey {
 /// locks are released, at which point the caller is expected to roll back.
 class LockManager {
  public:
-  /// `clock` (optional) is only used as the rendezvous for wait-event
-  /// recording (common/wait_event.h): blocked Acquires report a kLockWait
-  /// event, deadlock victims a kDeadlockAbort. Events carry counts only
-  /// (sim times 0) — a lock wait's duration is wall time, which would break
-  /// determinism, and the manager never reads the clock (session threads
-  /// racing NowMicros() against the coordinator would trip TSan).
-  explicit LockManager(MetricsRegistry* metrics = nullptr,
-                       SimClock* clock = nullptr);
+  /// Blocked Acquires count under `rdbms.wait.lock_wait`, deadlock victims
+  /// under `rdbms.wait.deadlock_abort`. Counts only: a lock wait's duration
+  /// is wall time, which would break determinism, so the manager never
+  /// reads the simulated clock.
+  explicit LockManager(MetricsRegistry* metrics = nullptr);
 
   /// Blocks until granted (or upgraded). Re-acquiring an already-covering
   /// mode is a no-op. Returns kAborted when this transaction was chosen as
@@ -119,9 +114,6 @@ class LockManager {
   uint64_t DetectDeadlockLocked(const Resource& res, uint64_t txn_id,
                                 LockMode mode);
 
-  /// Emits a count-only wait event to the clock's attached log, if any.
-  void RecordWaitEvent(WaitClass c, const LockKey& key);
-
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::unordered_map<LockKey, Resource, LockKey::Hash> resources_;
@@ -130,11 +122,10 @@ class LockManager {
   std::unordered_map<uint64_t, std::unordered_set<uint64_t>> waits_for_;
   std::unordered_set<uint64_t> victims_;
 
-  SimClock* clock_;             ///< wait-event rendezvous only; may be null
   Counter* m_lock_waits_;       ///< Acquires that had to block
   Counter* m_deadlock_aborts_;  ///< victims chosen
-  Counter* m_wait_lock_;        ///< wait-event mirror of m_lock_waits_
-  Counter* m_wait_deadlock_;    ///< wait-event mirror of m_deadlock_aborts_
+  Counter* m_wait_lock_;        ///< wait-class mirror of m_lock_waits_
+  Counter* m_wait_deadlock_;    ///< wait-class mirror of m_deadlock_aborts_
   Histogram* h_wait_us_;        ///< blocked-acquire wall time
 };
 

@@ -14,7 +14,7 @@ TxnManager::TxnManager(BufferPool* pool, SimClock* clock,
     : pool_(pool),
       clock_(clock),
       metrics_(metrics == nullptr ? GlobalMetrics() : metrics),
-      locks_(metrics_, clock),
+      locks_(metrics_),
       mvcc_(metrics_) {
   m_begins_ = metrics_->GetCounter("rdbms.txn.begins");
   m_commits_ = metrics_->GetCounter("rdbms.txn.commits");

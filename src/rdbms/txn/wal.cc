@@ -1,7 +1,6 @@
 #include "rdbms/txn/wal.h"
 
 #include "common/trace.h"
-#include "common/wait_event.h"
 
 namespace r3 {
 namespace rdbms {
@@ -45,10 +44,6 @@ Status Wal::Flush() {
   h_wait_flush_us_->Observe(cost_us);
   if (Tracer* tracer = clock_->tracer()) {
     tracer->Complete("wal", "flush", clock_->NowMicros() - cost_us, cost_us);
-  }
-  if (WaitEventLog* wl = clock_->wait_log()) {
-    wl->Record(WaitClass::kWalFlush, clock_->NowMicros() - cost_us, cost_us,
-               "group_flush");
   }
   m_flushes_->Add(1);
   m_flushed_bytes_->Add(static_cast<int64_t>(pending_bytes_));

@@ -97,7 +97,7 @@ class Wal {
   Counter* m_flushes_;
   Counter* m_flushed_bytes_;
   Counter* m_flush_pages_;
-  // Wait-event mirrors of the log-force stall (DESIGN.md §12).
+  // The log-force stall, booked under its wait class (DESIGN.md §12).
   Counter* m_wait_flush_;
   Histogram* h_wait_flush_us_;
   std::vector<LogRecord> log_;

@@ -1,5 +1,6 @@
 #include "rdbms/value.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -159,8 +160,10 @@ Result<Value> Value::CastTo(DataType target) const {
         case DataType::kString: {
           std::string t = str::Trim(s_);
           char* end = nullptr;
+          errno = 0;
           long long v = std::strtoll(t.c_str(), &end, 10);
-          if (end == t.c_str() || (end != nullptr && *end != '\0')) {
+          if (end == t.c_str() || (end != nullptr && *end != '\0') ||
+              errno == ERANGE) {
             return Status::InvalidArgument("cannot cast '" + s_ + "' to INT");
           }
           return Int(v);

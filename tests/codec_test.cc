@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/rng.h"
 #include "rdbms/index/key_codec.h"
@@ -110,6 +111,18 @@ TEST(RowCodecTest, Int4WidthRoundTripsNegatives) {
   Row back;
   ASSERT_TRUE(DeserializeRow(s, bytes, &back).ok());
   EXPECT_EQ(back[0].int_value(), -123456);
+}
+
+TEST(RowCodecTest, Int4WidthRejectsValuesItWouldTruncate) {
+  Schema s({ColInt("I", 4)});
+  std::string bytes;
+  EXPECT_TRUE(SerializeRow(s, Row{Value::Int(INT32_MIN)}, &bytes).ok());
+  EXPECT_TRUE(SerializeRow(s, Row{Value::Int(INT32_MAX)}, &bytes).ok());
+  for (int64_t v : {int64_t{INT32_MAX} + 1, int64_t{INT32_MIN} - 1,
+                    int64_t{4294967297}}) {
+    Status st = SerializeRow(s, Row{Value::Int(v)}, &bytes);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << v;
+  }
 }
 
 TEST(RowCodecTest, RowToStringRendering) {

@@ -1,5 +1,5 @@
 // Dispatcher / work-process / landscape tests: deterministic scheduling,
-// admission control, queue-wait accounting (ST03 + wait events), per-MANDT
+// admission control, queue-wait accounting (ST03 + wait metrics), per-MANDT
 // tenancy isolation across app servers, landscape-wide ST05 merging, and
 // the RDBMS session pool backing the work processes.
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 
 #include "appsys/dispatch/landscape.h"
 #include "appsys/sql_trace.h"
-#include "common/wait_event.h"
 #include "rdbms/session_pool.h"
 #include "sap/dialog_workload.h"
 #include "sap/loader.h"
@@ -165,12 +164,17 @@ TEST(DispatcherTest, AdmissionControlRejectsBeyondQueueCap) {
 // ---------------------------------------------------------------------------
 // Queue-wait accounting: with one WP, the second of two simultaneous
 // arrivals waits exactly the first one's service time; the wait shows up in
-// ST03 (as wait time extending the step's response) and as a
-// kDispatchQueue wait event.
+// ST03 (as wait time extending the step's response) and in the
+// `appsys.wait.dispatch_queue*` metrics.
 // ---------------------------------------------------------------------------
 TEST(DispatcherTest, QueueWaitBookedInSt03AndWaitEvents) {
   auto ins = BuildInstallation();
-  WaitEventLog wait_log(&ins->sys->clock);
+  // The installation books into the process-wide registry, which earlier
+  // tests in this binary also use: compare deltas.
+  MetricsRegistry* metrics = ins->sys->db.metrics();
+  Histogram* wait_hist = metrics->GetHistogram("appsys.wait.dispatch_queue_us");
+  const int64_t waits_before = metrics->Value("appsys.wait.dispatch_queue");
+  const int64_t wait_sum_before = wait_hist->Sum();
   LandscapeOptions lopts;
   lopts.instance.dialog_wps = 1;
   lopts.instance.batch_wps = 0;
@@ -202,10 +206,9 @@ TEST(DispatcherTest, QueueWaitBookedInSt03AndWaitEvents) {
   EXPECT_EQ(qs.total_wait_us, r.outcomes[1].wait_us);
   EXPECT_EQ(qs.waited_steps, 1);
 
-  // ...the wait-event log saw it as a dispatch-queue stall...
-  EXPECT_EQ(wait_log.CountOf(WaitClass::kDispatchQueue), 1);
-  EXPECT_EQ(wait_log.SimUsOf(WaitClass::kDispatchQueue),
-            r.outcomes[1].wait_us);
+  // ...the wait metrics saw it as one dispatch-queue stall...
+  EXPECT_EQ(metrics->Value("appsys.wait.dispatch_queue") - waits_before, 1);
+  EXPECT_EQ(wait_hist->Sum() - wait_sum_before, r.outcomes[1].wait_us);
 
   // ...and ST03's wait column carries it (the monitor's steps are our two
   // dialog steps; total wait == the queue wait).

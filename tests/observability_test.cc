@@ -25,7 +25,6 @@
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "common/wait_event.h"
 #include "rdbms/txn/lock_manager.h"
 #include "tpcd/loader.h"
 #include "tpcd/queries.h"
@@ -619,7 +618,34 @@ TEST(PerfMonitorTest, ToJsonReportsHistogramPercentiles) {
   }
 }
 
-// -- Wait events --------------------------------------------------------------
+// -- Waits ---------------------------------------------------------------------
+//
+// Each wait is booked once: in its `rdbms.wait.*` counter and `*_us`
+// histogram, plus the Tracer span the site already emits (`io/page_read.*`
+// for buffer-pool transfers, `wal/flush` for the log force).
+
+struct SpanRecord {
+  std::string name;
+  int64_t ts = 0;
+  int64_t dur = 0;
+};
+
+/// Complete events of `category` whose name starts with `name_prefix`.
+std::vector<SpanRecord> SpansOf(const Tracer& tracer, const char* category,
+                                const std::string& name_prefix) {
+  auto doc = json::Parse(tracer.ExportChromeJson());
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+  std::vector<SpanRecord> out;
+  if (!doc.ok()) return out;
+  for (const json::Value& e : doc.value().Get("traceEvents").items()) {
+    if (e.Get("cat").string_value() != category) continue;
+    const std::string& name = e.Get("name").string_value();
+    if (name.rfind(name_prefix, 0) != 0) continue;
+    out.push_back(SpanRecord{name, e.Get("ts").int_value(),
+                             e.Get("dur").int_value()});
+  }
+  return out;
+}
 
 TEST(WaitEventTest, BufferPoolMissRecordsOneIoEvent) {
   MetricsRegistry registry;
@@ -631,27 +657,31 @@ TEST(WaitEventTest, BufferPoolMissRecordsOneIoEvent) {
   ASSERT_TRUE(db.Query("SELECT COUNT(*) FROM t").ok());  // warm the pool
   ASSERT_OK(db.pool()->Reset());  // one data page to re-read, cold
 
+  Histogram* io_us = registry.GetHistogram("rdbms.wait.buffer_pool_io_us");
   int64_t phys_before = registry.Value("rdbms.bufferpool.physical_reads");
-  WaitEventLog log(db.clock());
+  int64_t io_us_before = io_us->Sum();
+  int64_t lock_before = registry.Value("rdbms.wait.lock_wait");
+  int64_t wal_before = registry.Value("rdbms.wait.wal_flush");
+  int64_t deadlock_before = registry.Value("rdbms.wait.deadlock_abort");
+  Tracer tracer(db.clock());
   ASSERT_TRUE(db.Query("SELECT COUNT(*) FROM t").ok());
   int64_t misses = registry.Value("rdbms.bufferpool.physical_reads") -
                    phys_before;
 
-  // Exactly one physical transfer, exactly one correctly-classed event.
+  // Exactly one physical transfer, exactly one page-read span.
   EXPECT_EQ(misses, 1);
-  EXPECT_EQ(log.CountOf(WaitClass::kBufferPoolIo), misses);
-  std::vector<WaitEvent> events = log.EventsOf(WaitClass::kBufferPoolIo);
+  std::vector<SpanRecord> events = SpansOf(tracer, "io", "page_read.");
   ASSERT_EQ(events.size(), static_cast<size_t>(misses));
-  EXPECT_GT(events[0].sim_dur_us, 0);
-  EXPECT_EQ(events[0].detail.rfind("page_read.", 0), 0u) << events[0].detail;
-  EXPECT_EQ(log.SimUsOf(WaitClass::kBufferPoolIo), events[0].sim_dur_us);
-  // No other class fired, and the always-on metric mirror agrees.
-  EXPECT_EQ(log.CountOf(WaitClass::kLockWait), 0);
-  EXPECT_EQ(log.CountOf(WaitClass::kWalFlush), 0);
-  EXPECT_EQ(log.CountOf(WaitClass::kDeadlockAbort), 0);
+  EXPECT_GT(events[0].dur, 0);
+  EXPECT_EQ(io_us->Sum() - io_us_before, events[0].dur);
+  // No other wait class moved, and the I/O counter agrees.
+  EXPECT_EQ(registry.Value("rdbms.wait.lock_wait"), lock_before);
+  EXPECT_EQ(registry.Value("rdbms.wait.wal_flush"), wal_before);
+  EXPECT_EQ(registry.Value("rdbms.wait.deadlock_abort"), deadlock_before);
   EXPECT_EQ(registry.Value("rdbms.wait.buffer_pool_io"),
             phys_before + misses);
-  EXPECT_NE(log.RenderText().find("buffer_pool_io"), std::string::npos);
+  EXPECT_NE(registry.RenderText().find("rdbms.wait.buffer_pool_io"),
+            std::string::npos);
 }
 
 TEST(WaitEventTest, CommitGroupFlushRecordsOneWalFlushEvent) {
@@ -660,26 +690,25 @@ TEST(WaitEventTest, CommitGroupFlushRecordsOneWalFlushEvent) {
   opts.metrics = &registry;
   rdbms::Database db(nullptr, opts);
   ASSERT_OK(db.Execute("CREATE TABLE t (a INT, b CHAR(8))"));
-  ASSERT_OK(db.EnableWal());  // its checkpoint flush is before the log
+  ASSERT_OK(db.EnableWal());  // its checkpoint flush is before the tracer
 
-  WaitEventLog log(db.clock());
+  int64_t tracer_origin_us = db.clock()->NowMicros();
+  Tracer tracer(db.clock());
   ASSERT_OK(db.Begin());
   ASSERT_OK(db.InsertRow("t", {Value::Int(1), Value::Str("one")}));
   ASSERT_OK(db.Commit());
 
-  // The commit's log force: one group flush, one event, and the stall's
+  // The commit's log force: one group flush, one span, and the stall's
   // simulated duration is the flush's page-write charge exactly.
-  EXPECT_EQ(log.CountOf(WaitClass::kWalFlush), 1);
-  std::vector<WaitEvent> events = log.EventsOf(WaitClass::kWalFlush);
+  std::vector<SpanRecord> events = SpansOf(tracer, "wal", "flush");
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].detail, "group_flush");
-  EXPECT_EQ(events[0].sim_dur_us, db.clock()->model().page_write_us);
-  EXPECT_EQ(log.SimUsOf(WaitClass::kWalFlush), events[0].sim_dur_us);
-  EXPECT_EQ(events[0].sim_start_us + events[0].sim_dur_us,
-            db.clock()->NowMicros());
-  EXPECT_EQ(log.CountOf(WaitClass::kBufferPoolIo), 0);
-  // The metric mirror counts EnableWal's baseline-checkpoint flush too;
-  // the log, attached after EnableWal, saw only the commit's.
+  EXPECT_EQ(events[0].name, "flush");
+  EXPECT_EQ(events[0].dur, db.clock()->model().page_write_us);
+  EXPECT_EQ(events[0].ts + events[0].dur,
+            db.clock()->NowMicros() - tracer_origin_us);
+  EXPECT_TRUE(SpansOf(tracer, "io", "page_read.").empty());
+  // The counter also counts EnableWal's baseline-checkpoint flush; the
+  // tracer, attached after EnableWal, saw only the commit's.
   EXPECT_EQ(registry.Value("rdbms.wait.wal_flush"), 2);
 }
 
@@ -689,17 +718,20 @@ TEST(WaitEventTest, DeadlockVictimRecordsOneAbortEvent) {
   using rdbms::txn::LockMode;
   MetricsRegistry metrics;
   SimClock clock;
-  LockManager lm(&metrics, &clock);
-  WaitEventLog log(&clock);
+  LockManager lm(&metrics);
 
   // The classic two-transaction cross acquisition (mvcc_test's pattern).
   const LockKey a = LockKey::Row(1, 1);
   const LockKey b = LockKey::Row(1, 2);
   ASSERT_TRUE(lm.Acquire(1, a, LockMode::kX).ok());
   ASSERT_TRUE(lm.Acquire(2, b, LockMode::kX).ok());
+  StatusCode codes[3] = {StatusCode::kOk, StatusCode::kOk, StatusCode::kOk};
   auto cross = [&](uint64_t id, LockKey want) {
     Status st = lm.Acquire(id, want, LockMode::kX);
-    if (!st.ok()) EXPECT_EQ(st.code(), StatusCode::kAborted);
+    if (!st.ok()) {
+      EXPECT_EQ(st.code(), StatusCode::kAborted);
+    }
+    codes[id] = st.code();
     lm.ReleaseAll(id);
   };
   std::thread t1(cross, 1, b);
@@ -707,18 +739,14 @@ TEST(WaitEventTest, DeadlockVictimRecordsOneAbortEvent) {
   t1.join();
   t2.join();
 
-  // Exactly one victim, exactly one abort event; at least one of the two
-  // blocked acquisitions recorded a lock wait before the cycle closed.
-  EXPECT_EQ(log.CountOf(WaitClass::kDeadlockAbort), 1);
-  EXPECT_GE(log.CountOf(WaitClass::kLockWait), 1);
-  std::vector<WaitEvent> aborts = log.EventsOf(WaitClass::kDeadlockAbort);
-  ASSERT_EQ(aborts.size(), 1u);
-  EXPECT_EQ(aborts[0].detail, "txn2");  // deterministic youngest victim
+  // Exactly one victim; at least one of the two blocked acquisitions
+  // counted a lock wait before the cycle closed.
+  EXPECT_EQ(metrics.Value("rdbms.wait.deadlock_abort"), 1);
+  EXPECT_GE(metrics.Value("rdbms.wait.lock_wait"), 1);
+  EXPECT_EQ(codes[2], StatusCode::kAborted);  // deterministic youngest victim
   // Lock waits carry no simulated duration (their real duration is wall
   // time, which would break determinism): counts only.
-  EXPECT_EQ(log.SimUsOf(WaitClass::kLockWait), 0);
-  EXPECT_EQ(log.SimUsOf(WaitClass::kDeadlockAbort), 0);
-  EXPECT_EQ(metrics.Value("rdbms.wait.deadlock_abort"), 1);
+  EXPECT_EQ(clock.NowMicros(), 0);
   EXPECT_EQ(metrics.Value("rdbms.wait.lock_wait"),
             metrics.Value("rdbms.txn.lock_waits"));
 }
@@ -735,11 +763,11 @@ TEST(WaitEventTest, RecordingChargesNoSimulatedTime) {
   int64_t unlogged_us = unlogged.ElapsedUs();
 
   ASSERT_OK(db.pool()->Reset());
-  WaitEventLog log(db.clock());
+  Tracer tracer(db.clock());
   SimTimer logged(*db.clock());
   ASSERT_TRUE(db.Query(sql).ok());
   EXPECT_EQ(logged.ElapsedUs(), unlogged_us);
-  EXPECT_GT(log.event_count(), 0u);
+  EXPECT_GT(tracer.event_count(), 0u);
 }
 
 // -- ST05 SQL trace -----------------------------------------------------------

@@ -308,6 +308,91 @@ TEST_F(SqlTest, IntegerOverflowPlansThenFailsAtExecution) {
   EXPECT_EQ(Q("SELECT name FROM emp WHERE id = 10").rows.size(), 1u);
 }
 
+TEST_F(SqlTest, OutOfRangeIntegersAreRejected) {
+  // A literal past int64 is a parse error, not INT64_MAX.
+  auto lit = db_->Query("SELECT 99999999999999999999 FROM dept");
+  ASSERT_FALSE(lit.ok());
+  EXPECT_EQ(lit.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(lit.status().message().find("out of range"), std::string::npos)
+      << lit.status().ToString();
+  // So is a string cast to INT, rather than INT64_MAX.
+  EXPECT_EQ(Q("SELECT CAST('-42' AS INT) FROM dept WHERE id = 1")
+                .rows[0][0]
+                .int_value(),
+            -42);
+  auto cast =
+      db_->Query("SELECT CAST('99999999999999999999' AS INT) FROM dept");
+  ASSERT_FALSE(cast.ok());
+  EXPECT_EQ(cast.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(cast.status().message().find("cannot cast"), std::string::npos)
+      << cast.status().ToString();
+  // A 4-byte INTEGER column refuses a value it would have to truncate
+  // (4294967297 would have stored as 1 while its index key kept the full
+  // value).
+  auto wide = db_->Execute(
+      "INSERT INTO dept VALUES (4294967297, 'wide')");
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Q("SELECT name FROM dept WHERE id = 1").rows.size() == 1u);
+  EXPECT_EQ(Q("SELECT COUNT(*) FROM dept").rows[0][0].AsInt(), 3);
+  // The INTEGER limits themselves still fit.
+  ASSERT_OK(db_->Execute(
+      "INSERT INTO dept VALUES (2147483647, 'max'), (-2147483648, 'min')"));
+  QueryResult r = Q("SELECT id FROM dept WHERE id > 3 OR id < 0 ORDER BY id");
+  ASSERT_EQ(r.rows.size(), 2u);
+  EXPECT_EQ(r.rows[0][0].AsInt(), INT32_MIN);
+  EXPECT_EQ(r.rows[1][0].AsInt(), INT32_MAX);
+  // An UPDATE that would narrow is refused the same way.
+  auto upd = db_->Execute("UPDATE dept SET id = 2147483648 WHERE id = 3");
+  ASSERT_FALSE(upd.ok());
+  EXPECT_EQ(upd.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Q("SELECT name FROM dept WHERE id = 3").rows.size(), 1u);
+}
+
+/// SUM over BIGINT rows whose total leaves int64 fails with InvalidArgument
+/// on the serial HashAggregate and on the DOP-4 partial-aggregate merge; a
+/// total that fits is exact even when a running sum would have overflowed.
+TEST(SqlAggregateTest, IntegerSumOverflowIsAnErrorSerialAndParallel) {
+  for (int dop : {1, 4}) {
+    SCOPED_TRACE("dop=" + std::to_string(dop));
+    DatabaseOptions opts;
+    opts.planner.dop = dop;
+    opts.planner.parallel_threshold_rows = 1;
+    Database db(nullptr, opts);
+    ASSERT_OK(db.Execute("CREATE TABLE big (g INT, v BIGINT)"));
+    ASSERT_OK(db.Execute("INSERT INTO big VALUES (1, 9000000000000000000), "
+                         "(1, 9000000000000000000), (2, 9000000000000000000), "
+                         "(2, 9000000000000000000), (2, -9000000000000000000)"));
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_OK(db.InsertRow("big", {Value::Int(3), Value::Int(i)}));
+    }
+    ASSERT_OK(db.Execute("ANALYZE"));
+    const std::string sum_all = "SELECT SUM(v) FROM big WHERE g = 1";
+    auto plan = db.Explain(sum_all);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(plan.value().find("PartialHashAggregate") != std::string::npos,
+              dop == 4)
+        << plan.value();
+
+    auto over = db.Query(sum_all);
+    ASSERT_FALSE(over.ok());
+    EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(over.status().message().find("overflow"), std::string::npos);
+    auto grouped = db.Query("SELECT g, SUM(v) FROM big GROUP BY g");
+    ASSERT_FALSE(grouped.ok());
+    EXPECT_EQ(grouped.status().code(), StatusCode::kInvalidArgument);
+
+    // 9e18 + 9e18 - 9e18 fits: the result is exact in any order.
+    auto fits = db.Query("SELECT SUM(v) FROM big WHERE g = 2");
+    ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+    EXPECT_EQ(fits.value().rows[0][0].int_value(), 9000000000000000000);
+    // AVG divides the floating sum and never overflows.
+    auto avg = db.Query("SELECT AVG(v) FROM big WHERE g = 1");
+    ASSERT_TRUE(avg.ok()) << avg.status().ToString();
+    EXPECT_DOUBLE_EQ(avg.value().rows[0][0].double_value(), 9e18);
+  }
+}
+
 TEST_F(SqlTest, OrderByDesc) {
   QueryResult r = Q("SELECT id FROM emp ORDER BY salary DESC LIMIT 1");
   ASSERT_EQ(r.rows.size(), 1u);

@@ -2,6 +2,8 @@
 // precedence, special forms, and error reporting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "rdbms/sql/lexer.h"
 #include "rdbms/sql/parser.h"
 
@@ -62,6 +64,25 @@ TEST(LexerTest, ScientificNotation) {
   EXPECT_EQ(toks.value()[0].type, TokenType::kFloat);
   EXPECT_DOUBLE_EQ(toks.value()[0].float_value, 1000.0);
   EXPECT_DOUBLE_EQ(toks.value()[1].float_value, 0.025);
+}
+
+TEST(LexerTest, OutOfRangeLiteralsRejected) {
+  // The int64 limit itself still lexes...
+  auto max = Tokenize("9223372036854775807");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(max.value()[0].int_value, INT64_MAX);
+  // ...one past it, or a double that overflows to infinity, does not: a
+  // clamped value would silently run the query on a different number.
+  auto big_int = Tokenize("SELECT 99999999999999999999");
+  ASSERT_FALSE(big_int.ok());
+  EXPECT_EQ(big_int.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(big_int.status().message().find("out of range"),
+            std::string::npos);
+  EXPECT_FALSE(Tokenize("9223372036854775808").ok());
+  EXPECT_FALSE(Tokenize("1e999").ok());
+  EXPECT_FALSE(ParseStatement("SELECT a FROM t WHERE a = 1e400").ok());
+  // Tiny magnitudes are not clamped to a limit, so they stay legal.
+  EXPECT_TRUE(Tokenize("1e-400").ok());
 }
 
 // ---------------------------------------------------------------------------
