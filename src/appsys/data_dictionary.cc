@@ -1,6 +1,7 @@
 #include "appsys/data_dictionary.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "common/str_util.h"
 #include "rdbms/index/key_codec.h"
@@ -59,24 +60,61 @@ std::string FieldToText(const Value& v) {
   return "";
 }
 
-Result<Value> TextToField(const std::string& text, DataType type) {
-  if (text.size() == 1 && text[0] == kNullMark) return Value::Null(type);
-  switch (type) {
-    case DataType::kDouble:
-      return Value::Dbl(std::strtod(text.c_str(), nullptr));
-    case DataType::kDecimal:
-      return Value::DecimalFromCents(std::strtoll(text.c_str(), nullptr, 10));
-    case DataType::kDate:
-      return Value::Date(
-          static_cast<int32_t>(std::strtol(text.c_str(), nullptr, 10)));
-    case DataType::kBool:
-      return Value::Bool(text == "1");
-    case DataType::kInt64:
-      return Value::Int(std::strtoll(text.c_str(), nullptr, 10));
-    case DataType::kString:
-      return Value::Str(text);
+/// Parses one field written by FieldToText into `*v` in place. Numbers must
+/// consume the whole text; false on anything FieldToText cannot produce.
+bool TextToField(std::string_view text, DataType type, Value* v) {
+  if (text.size() == 1 && text[0] == kNullMark) {
+    v->SetNull(type);
+    return true;
   }
-  return Status::Internal("bad field type");
+  auto parse = [text](auto* n) {
+    const char* end = text.data() + text.size();
+    auto [p, ec] = std::from_chars(text.data(), end, *n);
+    return ec == std::errc() && p == end;
+  };
+  switch (type) {
+    case DataType::kDouble: {
+      double d = 0;
+      if (!parse(&d)) return false;
+      v->SetDbl(d);
+      return true;
+    }
+    case DataType::kDate: {
+      int32_t day = 0;
+      if (!parse(&day)) return false;
+      v->SetInt(type, day);
+      return true;
+    }
+    case DataType::kDecimal:
+    case DataType::kInt64: {
+      int64_t i = 0;
+      if (!parse(&i)) return false;
+      v->SetInt(type, i);
+      return true;
+    }
+    case DataType::kBool:
+      if (text != "0" && text != "1") return false;
+      v->SetInt(type, text == "1" ? 1 : 0);
+      return true;
+    case DataType::kString:
+      v->SetStr(text);
+      return true;
+  }
+  return false;
+}
+
+/// Calls `fn` on each `sep`-separated piece of `s` (the pieces str::Split
+/// would return, as views), stopping at the first error.
+template <typename Fn>
+Status ForEachPiece(std::string_view s, char sep, Fn&& fn) {
+  size_t start = 0;
+  while (true) {
+    const size_t end = s.find(sep, start);
+    R3_RETURN_IF_ERROR(fn(s.substr(
+        start, end == std::string_view::npos ? end : end - start)));
+    if (end == std::string_view::npos) return Status::OK();
+    start = end + 1;
+  }
 }
 
 bool CondMatches(const DictCond& cond, const Value& v) {
@@ -296,22 +334,29 @@ std::string DataDictionary::EncodeVarData(const LogicalTable& t,
 }
 
 Status DataDictionary::DecodeVarData(const LogicalTable& t,
-                                     const std::string& data, Row* row) const {
+                                     std::string_view data, Row* row) const {
   ++decode_count_;
   db_->clock()->ChargeAbapTuple();  // dictionary decode runs in the app server
-  std::vector<std::string> fields = str::Split(data, kFieldSep);
-  if (fields.size() != t.schema.NumColumns()) {
+  const size_t ncols = t.schema.NumColumns();
+  const size_t nfields =
+      static_cast<size_t>(std::count(data.begin(), data.end(), kFieldSep)) + 1;
+  if (nfields != ncols) {
     return Status::Internal(
         str::Format("bundle of %s has %zu fields, expected %zu",
-                    t.name.c_str(), fields.size(), t.schema.NumColumns()));
+                    t.name.c_str(), nfields, ncols));
   }
-  row->clear();
-  row->reserve(fields.size());
-  for (size_t i = 0; i < fields.size(); ++i) {
-    R3_ASSIGN_OR_RETURN(Value v, TextToField(fields[i], t.schema.column(i).type));
-    row->push_back(std::move(v));
-  }
-  return Status::OK();
+  row->resize(ncols);
+  size_t i = 0;
+  return ForEachPiece(data, kFieldSep, [&](std::string_view field) {
+    const Column& col = t.schema.column(i);
+    if (!TextToField(field, col.type, &(*row)[i++])) {
+      return Status::InvalidArgument(str::Format(
+          "bundle of %s: field %s is not a valid %s: '%s'", t.name.c_str(),
+          col.name.c_str(), rdbms::DataTypeName(col.type),
+          std::string(field).c_str()));
+    }
+    return Status::OK();
+  });
 }
 
 namespace {
@@ -509,19 +554,19 @@ Result<std::vector<Row>> DataDictionary::ReadCluster(
   std::vector<Row> out;
   Row row;
   for (const Row& phys : res.rows) {
-    for (const std::string& blob : str::Split(phys[0].string_value(), kRowSep)) {
-      if (blob.empty()) continue;
-      R3_RETURN_IF_ERROR(DecodeVarData(t, blob, &row));
-      bool keep = true;
-      for (const DictCond* c : residual) {
-        auto idx = t.schema.IndexOf(c->column);
-        if (!idx.ok() || !CondMatches(*c, row[idx.value()])) {
-          keep = false;
-          break;
-        }
-      }
-      if (keep) out.push_back(row);
-    }
+    R3_RETURN_IF_ERROR(ForEachPiece(
+        phys[0].string_value(), kRowSep, [&](std::string_view blob) {
+          if (blob.empty()) return Status::OK();
+          R3_RETURN_IF_ERROR(DecodeVarData(t, blob, &row));
+          for (const DictCond* c : residual) {
+            auto idx = t.schema.IndexOf(c->column);
+            if (!idx.ok() || !CondMatches(*c, row[idx.value()])) {
+              return Status::OK();
+            }
+          }
+          out.push_back(row);
+          return Status::OK();
+        }));
   }
   return out;
 }

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "appsys/release.h"
@@ -123,7 +124,9 @@ class DataDictionary {
   std::string EncodeVarKey(const LogicalTable& t, const rdbms::Row& row,
                            size_t prefix_count) const;
   std::string EncodeVarData(const LogicalTable& t, const rdbms::Row& row) const;
-  Status DecodeVarData(const LogicalTable& t, const std::string& data,
+  /// Parses one bundle into `*row` in place (field count, then each field
+  /// strictly); a malformed bundle fails with a Status.
+  Status DecodeVarData(const LogicalTable& t, std::string_view data,
                        rdbms::Row* row) const;
 
   Result<std::vector<rdbms::Row>> ReadPool(const LogicalTable& t,

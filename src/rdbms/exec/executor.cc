@@ -183,23 +183,19 @@ bool IsSubqueryNode(const Expr& e) {
 
 SeqScanOp::SeqScanOp(const TableInfo* table, size_t offset, size_t wide_width,
                      std::vector<const Expr*> filters,
-                     std::optional<std::vector<size_t>> needed_cols)
+                     ColumnMask needed)
     : table_(table),
       offset_(offset),
       wide_width_(wide_width),
       filters_(std::move(filters)),
-      needed_cols_(std::move(needed_cols)) {}
+      needed_(std::move(needed)) {}
 
 Status SeqScanOp::BuildScanSpec(ExecContext* ctx, ScanSpec* spec) const {
   spec->mvcc = ctx->mvcc;
   spec->snapshot = ctx->snapshot;
   spec->offset = offset_;
   spec->wide_width = wide_width_;
-  if (needed_cols_.has_value()) {
-    spec->all_columns = false;
-    spec->needed_cols = *needed_cols_;
-    SortUnique(&spec->needed_cols);
-  }
+  spec->needed = needed_;
   if (table_->storage->kind() == EngineKind::kRowHeap) return Status::OK();
   // Columnar extras: which columns the filters read (charging), and which
   // string-equality predicates can pre-filter on dictionary codes. A
@@ -289,13 +285,15 @@ std::string SeqScanOp::Describe(bool analyze) const {
 
 IndexScanOp::IndexScanOp(const TableInfo* table, const IndexInfo* index,
                          size_t offset, size_t wide_width, IndexBounds bounds,
-                         std::vector<const Expr*> residual_filters)
+                         std::vector<const Expr*> residual_filters,
+                         ColumnMask needed)
     : table_(table),
       index_(index),
       offset_(offset),
       wide_width_(wide_width),
       bounds_(std::move(bounds)),
-      filters_(std::move(residual_filters)) {}
+      filters_(std::move(residual_filters)),
+      needed_(std::move(needed)) {}
 
 Status IndexScanOp::OpenImpl(ExecContext* ctx) {
   ctx_ = ctx;
@@ -425,12 +423,9 @@ Result<bool> IndexScanOp::NextBatchImpl(RowBatch* out) {
           bool visible,
           MvccFetchRow(*ctx_, table_, Rid::Unpack(payload), &rec_));
       if (!visible) continue;  // row created after this statement's snapshot
-      R3_RETURN_IF_ERROR(DeserializeRow(table_->schema, rec_, &table_row_));
-      Row& wide = out->AppendRow();
-      wide.assign(wide_width_, Value::Null());
-      for (size_t i = 0; i < table_row_.size(); ++i) {
-        wide[offset_ + i] = std::move(table_row_[i]);
-      }
+      R3_RETURN_IF_ERROR(DecodeIntoWide(table_->schema, rec_, needed_,
+                                        offset_, wide_width_,
+                                        &out->AppendRow()));
     }
     if (!filters_.empty() && out->size() > first) {
       R3_RETURN_IF_ERROR(
@@ -626,8 +621,11 @@ std::string DistinctOp::Describe(bool analyze) const {
 // MaterializeOp
 // ---------------------------------------------------------------------------
 
-MaterializeOp::MaterializeOp(OperatorPtr child, bool cacheable)
-    : child_(std::move(child)), cacheable_(cacheable) {}
+MaterializeOp::MaterializeOp(OperatorPtr child,
+                             std::vector<FilledRange> ranges, bool cacheable)
+    : child_(std::move(child)),
+      ranges_(std::move(ranges)),
+      cacheable_(cacheable) {}
 
 Status MaterializeOp::OpenImpl(ExecContext* ctx) {
   pos_ = 0;
@@ -639,7 +637,7 @@ Status MaterializeOp::OpenImpl(ExecContext* ctx) {
     R3_ASSIGN_OR_RETURN(bool ok, child_->NextBatch(&child_batch_));
     if (!ok) break;
     for (size_t i = 0; i < child_batch_.size(); ++i) {
-      rows_.push_back(std::move(child_batch_.row(i)));
+      rows_.push_back(PackRanges(&child_batch_.row(i), ranges_));
     }
   }
   R3_RETURN_IF_ERROR(child_->Close());
@@ -649,7 +647,9 @@ Status MaterializeOp::OpenImpl(ExecContext* ctx) {
 
 Result<bool> MaterializeOp::NextBatchImpl(RowBatch* out) {
   while (!out->full() && pos_ < rows_.size()) {
-    out->AppendRow() = rows_[pos_++];  // copy: rows_ replays on re-open
+    Row& wide = out->AppendRow();  // copy: rows_ replays on re-open
+    wide.assign(child_->OutputWidth(), Value::Null());
+    UnpackRanges(rows_[pos_++], ranges_, &wide);
   }
   return !out->empty();
 }

@@ -2,7 +2,6 @@
 #define R3DB_RDBMS_EXEC_EXECUTOR_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -185,14 +184,14 @@ Result<bool> MvccFetchRow(const ExecContext& ctx, const TableInfo* table,
 /// step, releasing any page pin before filters run so predicates with
 /// subqueries cannot pile up pins.
 ///
-/// `needed_cols` (table-local indices) is the optimizer's projection set;
-/// a columnar cursor decodes only those columns. Empty optional = all
-/// columns. The row engine always materializes full rows either way.
+/// `needed` (by table-local index) is the optimizer's projection set; every
+/// engine's cursor decodes only those columns and leaves the rest NULL.
+/// Empty mask = all columns.
 class SeqScanOp : public Operator {
  public:
   SeqScanOp(const TableInfo* table, size_t offset, size_t wide_width,
             std::vector<const Expr*> filters,
-            std::optional<std::vector<size_t>> needed_cols = std::nullopt);
+            ColumnMask needed = {});
 
   size_t OutputWidth() const override { return wide_width_; }
   std::string Describe(bool analyze) const override;
@@ -213,7 +212,7 @@ class SeqScanOp : public Operator {
   size_t offset_;
   size_t wide_width_;
   std::vector<const Expr*> filters_;
-  std::optional<std::vector<size_t>> needed_cols_;
+  ColumnMask needed_;
   ExecContext* ctx_ = nullptr;
   std::unique_ptr<ScanCursor> cursor_;
   bool done_ = false;
@@ -250,12 +249,14 @@ struct IndexBounds {
 };
 
 /// Index range scan + heap fetch; the random fetches charge the cost model
-/// through the buffer pool (the Table 6 effect).
+/// through the buffer pool (the Table 6 effect). Fetched rows decode only
+/// the `needed` columns (empty mask = all).
 class IndexScanOp : public Operator {
  public:
   IndexScanOp(const TableInfo* table, const IndexInfo* index, size_t offset,
               size_t wide_width, IndexBounds bounds,
-              std::vector<const Expr*> residual_filters);
+              std::vector<const Expr*> residual_filters,
+              ColumnMask needed);
 
   size_t OutputWidth() const override { return wide_width_; }
   std::string Describe(bool analyze) const override;
@@ -280,8 +281,8 @@ class IndexScanOp : public Operator {
   std::unique_ptr<BTree::Cursor> cursor_;
   std::string stop_key_;  ///< exclusive upper bound ("" = none)
   bool done_ = false;
+  ColumnMask needed_;
   std::string rec_;  // heap-fetch scratch
-  Row table_row_;
   SelVector sel_;
   /// Multi-range execution state: encoded (start, stop) per range, sorted
   /// and merged at Open; `next_range_` is the next one to seek.
@@ -378,19 +379,36 @@ class DistinctOp : public Operator {
   RowBatch child_batch_;
 };
 
-/// Materializes and re-emits child rows; Open() after the first run replays
-/// from memory. Used as the inner of nested-loops joins.
+/// A contiguous wide-row range one side of a join fills.
+struct FilledRange {
+  size_t offset = 0;
+  size_t width = 0;
+};
+
+/// Moves the values of `ranges` out of the wide row `*wide`, concatenated
+/// in range order: all a stored join-side row needs to keep.
+Row PackRanges(Row* wide, const std::vector<FilledRange>& ranges);
+
+/// Copies a packed row (PackRanges) back into its ranges of `*wide`.
+void UnpackRanges(const Row& packed, const std::vector<FilledRange>& ranges,
+                  Row* wide);
+
+/// Materializes child rows, each packed to `ranges` (the positions the
+/// child fills), and re-emits them as wide rows NULL elsewhere; Open()
+/// after the first run replays from memory. Used as the inner of
+/// nested-loops joins, which read the packed rows directly.
 class MaterializeOp : public Operator {
  public:
   /// With `cacheable` false the child is re-run on every Open — required
   /// when the subtree's output depends on correlation (outer refs) or
   /// parameters that change between Opens.
-  explicit MaterializeOp(OperatorPtr child, bool cacheable = true);
+  MaterializeOp(OperatorPtr child, std::vector<FilledRange> ranges,
+                bool cacheable = true);
 
   size_t OutputWidth() const override { return child_->OutputWidth(); }
   std::string Describe(bool analyze) const override;
 
-  /// Accesses the materialized rows after Open.
+  /// Accesses the materialized rows after Open, packed to the ranges.
   const std::vector<Row>& rows() const { return rows_; }
 
  protected:
@@ -400,6 +418,7 @@ class MaterializeOp : public Operator {
 
  private:
   OperatorPtr child_;
+  std::vector<FilledRange> ranges_;
   bool cacheable_;
   bool loaded_ = false;
   std::vector<Row> rows_;
@@ -411,11 +430,9 @@ class MaterializeOp : public Operator {
 // Joins (join_ops.cc)
 // ---------------------------------------------------------------------------
 
-/// A contiguous wide-row range one side of a join fills.
-struct FilledRange {
-  size_t offset = 0;
-  size_t width = 0;
-};
+/// A hash-join build table: encoded key -> the build rows with that key,
+/// each packed to the build side's ranges (PackRanges).
+using JoinHashTable = std::unordered_map<std::string, std::vector<Row>>;
 
 /// Hash join: builds on `build`, probes with `probe`, merging wide rows.
 /// With `preserve_probe` (left-outer semantics where the probe side is the
@@ -423,6 +440,8 @@ struct FilledRange {
 /// ranges left NULL. `est_build_rows` (0 = unknown) pre-sizes the hash table
 /// from the optimizer's cardinality estimate. When the build child is a
 /// GatherOp, the table is built by its worker pool (partitioned build).
+/// The table keeps only the build ranges of each row (PackRanges), not the
+/// whole wide row.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(OperatorPtr build, OperatorPtr probe,
@@ -451,7 +470,7 @@ class HashJoinOp : public Operator {
   uint64_t est_build_rows_;
 
   ExecContext* ctx_ = nullptr;
-  std::unordered_map<std::string, std::vector<Row>> table_;
+  JoinHashTable table_;
   std::string key_scratch_;
   RowBatch probe_batch_;
   size_t probe_pos_ = 0;
@@ -471,7 +490,8 @@ class IndexNLJoinOp : public Operator {
   IndexNLJoinOp(OperatorPtr left, const TableInfo* table,
                 const IndexInfo* index, size_t table_offset,
                 std::vector<const Expr*> key_exprs,
-                std::vector<const Expr*> residual, bool preserve_left);
+                std::vector<const Expr*> residual, bool preserve_left,
+                ColumnMask needed);
 
   size_t OutputWidth() const override { return left_->OutputWidth(); }
   std::string Describe(bool analyze) const override;
@@ -492,6 +512,7 @@ class IndexNLJoinOp : public Operator {
   std::vector<const Expr*> key_exprs_;
   std::vector<const Expr*> residual_;
   bool preserve_left_;
+  ColumnMask needed_;  ///< inner columns to decode (empty = all)
 
   ExecContext* ctx_ = nullptr;
   RowBatch left_batch_;
@@ -503,7 +524,6 @@ class IndexNLJoinOp : public Operator {
   std::string stop_key_;  ///< per-probe upper bound, computed once per probe
   bool emitted_for_left_ = false;
   std::string rec_;  // heap-fetch scratch
-  Row inner_row_;
 };
 
 /// Nested-loops join over a materialized right side, with an arbitrary

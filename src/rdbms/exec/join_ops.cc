@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <iterator>
 
 #include "common/str_util.h"
 #include "rdbms/exec/executor.h"
@@ -23,15 +24,6 @@ std::string Indent(const std::string& s) {
   return out;
 }
 
-void MergeRanges(const Row& src, const std::vector<FilledRange>& ranges,
-                 Row* dst) {
-  for (const FilledRange& r : ranges) {
-    for (size_t i = 0; i < r.width; ++i) {
-      (*dst)[r.offset + i] = src[r.offset + i];
-    }
-  }
-}
-
 void NullRanges(const std::vector<FilledRange>& ranges, Row* dst) {
   for (const FilledRange& r : ranges) {
     for (size_t i = 0; i < r.width; ++i) {
@@ -43,6 +35,27 @@ void NullRanges(const std::vector<FilledRange>& ranges, Row* dst) {
 constexpr uint64_t kMaxReserve = 1u << 20;
 
 }  // namespace
+
+Row PackRanges(Row* wide, const std::vector<FilledRange>& ranges) {
+  Row packed;
+  size_t n = 0;
+  for (const FilledRange& r : ranges) n += r.width;
+  packed.reserve(n);
+  for (const FilledRange& r : ranges) {
+    auto first = wide->begin() + r.offset;
+    std::move(first, first + r.width, std::back_inserter(packed));
+  }
+  return packed;
+}
+
+void UnpackRanges(const Row& packed, const std::vector<FilledRange>& ranges,
+                  Row* wide) {
+  const Value* src = packed.data();
+  for (const FilledRange& r : ranges) {
+    std::copy(src, src + r.width, wide->begin() + r.offset);
+    src += r.width;
+  }
+}
 
 Status EvalJoinKey(const std::vector<const Expr*>& keys, const EvalContext& ec,
                    std::string* out, bool* null_key) {
@@ -85,7 +98,9 @@ HashJoinOp::HashJoinOp(OperatorPtr build, OperatorPtr probe,
 
 Status HashJoinOp::OpenImpl(ExecContext* ctx) {
   ctx_ = ctx;
-  table_.clear();
+  // Close already emptied the table; clearing it again would only walk the
+  // (reserved, possibly large) bucket array.
+  if (!table_.empty()) table_.clear();
   matches_ = nullptr;
   match_pos_ = 0;
   probe_done_ = false;
@@ -102,8 +117,8 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
   // (partitioned build); the serial path drains the child batch by batch
   // (probe_batch_ doubles as the drain scratch until probing starts).
   if (auto* gather = dynamic_cast<GatherOp*>(build_.get())) {
-    R3_RETURN_IF_ERROR(
-        gather->BuildJoinTable(ctx, build_keys_, &table_, est_build_rows_));
+    R3_RETURN_IF_ERROR(gather->BuildJoinTable(ctx, build_keys_, build_ranges_,
+                                              &table_, est_build_rows_));
     return probe_->Open(ctx);
   }
   R3_RETURN_IF_ERROR(build_->Open(ctx));
@@ -119,7 +134,8 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
       R3_RETURN_IF_ERROR(
           EvalJoinKey(build_keys_, ec, &key_scratch_, &null_key));
       if (null_key) continue;
-      table_[key_scratch_].push_back(std::move(probe_batch_.row(i)));
+      table_[key_scratch_].push_back(
+          PackRanges(&probe_batch_.row(i), build_ranges_));
     }
   }
   R3_RETURN_IF_ERROR(build_->Close());
@@ -163,7 +179,7 @@ Result<bool> HashJoinOp::NextBatchImpl(RowBatch* out) {
         if (out->full()) return true;
         Row& candidate = out->AppendRow();
         candidate = probe_row;
-        MergeRanges((*matches_)[match_pos_], build_ranges_, &candidate);
+        UnpackRanges((*matches_)[match_pos_], build_ranges_, &candidate);
         ++match_pos_;
         ec.row = &candidate;
         R3_ASSIGN_OR_RETURN(bool pass, EvalPredicates(residual_, ec));
@@ -213,14 +229,15 @@ IndexNLJoinOp::IndexNLJoinOp(OperatorPtr left, const TableInfo* table,
                              const IndexInfo* index, size_t table_offset,
                              std::vector<const Expr*> key_exprs,
                              std::vector<const Expr*> residual,
-                             bool preserve_left)
+                             bool preserve_left, ColumnMask needed)
     : left_(std::move(left)),
       table_(table),
       index_(index),
       table_offset_(table_offset),
       key_exprs_(std::move(key_exprs)),
       residual_(std::move(residual)),
-      preserve_left_(preserve_left) {}
+      preserve_left_(preserve_left),
+      needed_(std::move(needed)) {}
 
 Status IndexNLJoinOp::OpenImpl(ExecContext* ctx) {
   ctx_ = ctx;
@@ -292,12 +309,17 @@ Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* out) {
           bool visible,
           MvccFetchRow(*ctx_, table_, Rid::Unpack(payload), &rec_));
       if (!visible) continue;  // row created after this statement's snapshot
-      R3_RETURN_IF_ERROR(DeserializeRow(table_->schema, rec_, &inner_row_));
+      // The inner row decodes into the slot; the left row's columns then
+      // fill every position outside the inner table's range.
       Row& candidate = out->AppendRow();
-      candidate = left_row;
-      for (size_t i = 0; i < inner_row_.size(); ++i) {
-        candidate[table_offset_ + i] = std::move(inner_row_[i]);
-      }
+      R3_RETURN_IF_ERROR(DecodeIntoWide(table_->schema, rec_, needed_,
+                                        table_offset_, left_row.size(),
+                                        &candidate));
+      const size_t inner_end = table_offset_ + table_->schema.NumColumns();
+      std::copy(left_row.begin(), left_row.begin() + table_offset_,
+                candidate.begin());
+      std::copy(left_row.begin() + inner_end, left_row.end(),
+                candidate.begin() + inner_end);
       ec.row = &candidate;
       R3_ASSIGN_OR_RETURN(bool pass, EvalPredicates(residual_, ec));
       if (pass) {
@@ -344,7 +366,7 @@ NestedLoopsJoinOp::NestedLoopsJoinOp(OperatorPtr left, OperatorPtr right,
                                      std::vector<FilledRange> right_ranges,
                                      bool preserve_left)
     : left_(std::move(left)),
-      right_(std::make_unique<MaterializeOp>(std::move(right),
+      right_(std::make_unique<MaterializeOp>(std::move(right), right_ranges,
                                              /*cacheable=*/false)),
       predicates_(std::move(predicates)),
       right_ranges_(std::move(right_ranges)),
@@ -386,7 +408,7 @@ Result<bool> NestedLoopsJoinOp::NextBatchImpl(RowBatch* out) {
       ctx_->clock->ChargeDbmsTuple();
       Row& candidate = out->AppendRow();
       candidate = left_row;
-      MergeRanges(inner[right_pos_], right_ranges_, &candidate);
+      UnpackRanges(inner[right_pos_], right_ranges_, &candidate);
       ++right_pos_;
       ec.row = &candidate;
       R3_ASSIGN_OR_RETURN(bool pass, EvalPredicates(predicates_, ec));

@@ -38,19 +38,20 @@ size_t CappedReserve(uint64_t est) {
 
 GatherOp::GatherOp(const TableInfo* table, size_t offset, size_t wide_width,
                    std::vector<const Expr*> filters, int dop,
-                   uint64_t est_rows)
+                   uint64_t est_rows, ColumnMask needed)
     : table_(table),
       offset_(offset),
       wide_width_(wide_width),
       filters_(std::move(filters)),
       dop_(dop < 1 ? 1 : dop),
       est_rows_(est_rows),
-      mode_(Mode::kRows) {}
+      mode_(Mode::kRows),
+      needed_(std::move(needed)) {}
 
 GatherOp::GatherOp(const TableInfo* table, size_t offset, size_t wide_width,
                    std::vector<const Expr*> filters, int dop,
                    uint64_t est_rows, std::vector<const Expr*> group_exprs,
-                   std::vector<const Expr*> agg_calls)
+                   std::vector<const Expr*> agg_calls, ColumnMask needed)
     : table_(table),
       offset_(offset),
       wide_width_(wide_width),
@@ -59,7 +60,8 @@ GatherOp::GatherOp(const TableInfo* table, size_t offset, size_t wide_width,
       est_rows_(est_rows),
       mode_(Mode::kPartialAgg),
       group_exprs_(std::move(group_exprs)),
-      agg_calls_(std::move(agg_calls)) {}
+      agg_calls_(std::move(agg_calls)),
+      needed_(std::move(needed)) {}
 
 Status GatherOp::FilterTail(ExecContext* ctx, EvalContext* ec,
                             LaneScratch* scratch) {
@@ -90,13 +92,8 @@ Status GatherOp::ScanMorsel(
   std::vector<std::pair<uint16_t, std::string>> ghosts;
   // Appends one record to the lane's batch, flushing at capacity.
   auto append_rec = [&](std::string_view rec) -> Status {
-    R3_RETURN_IF_ERROR(
-        DeserializeRow(table_->schema, rec, &scratch->table_row));
-    Row& wide = batch.AppendRow();
-    wide.assign(wide_width_, Value::Null());
-    for (size_t i = 0; i < scratch->table_row.size(); ++i) {
-      wide[offset_ + i] = std::move(scratch->table_row[i]);
-    }
+    R3_RETURN_IF_ERROR(DecodeIntoWide(table_->schema, rec, needed_, offset_,
+                                      wide_width_, &batch.AppendRow()));
     if (batch.full()) {
       R3_RETURN_IF_ERROR(FilterTail(ctx, &ec, scratch));
       if (batch.full()) {  // every held row survived: hand off
@@ -316,7 +313,7 @@ Status GatherOp::OpenImpl(ExecContext* ctx) {
 
 Status GatherOp::BuildJoinTable(
     ExecContext* ctx, const std::vector<const Expr*>& keys,
-    std::unordered_map<std::string, std::vector<Row>>* table,
+    const std::vector<FilledRange>& ranges, JoinHashTable* table,
     uint64_t est_build_rows) {
   // Lanes do the scan + key evaluation; each morsel collects its (key, row)
   // pairs privately, and the barrier inserts them in morsel order — the
@@ -341,7 +338,7 @@ Status GatherOp::BuildJoinTable(
           bool null_key = false;
           R3_RETURN_IF_ERROR(EvalJoinKey(keys, ec, &key, &null_key));
           if (null_key) continue;
-          pairs[morsel].emplace_back(key, std::move(batch->row(r)));
+          pairs[morsel].emplace_back(key, PackRanges(&batch->row(r), ranges));
         }
         return Status::OK();
       });

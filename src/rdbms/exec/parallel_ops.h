@@ -52,16 +52,19 @@ class GatherOp : public Operator {
  public:
   enum class Mode { kRows, kPartialAgg };
 
-  /// Parallel scan+filter (Mode::kRows).
+  /// Parallel scan+filter (Mode::kRows). The lanes decode only the
+  /// `needed` columns (empty mask = all), like SeqScanOp.
   GatherOp(const TableInfo* table, size_t offset, size_t wide_width,
-           std::vector<const Expr*> filters, int dop, uint64_t est_rows);
+           std::vector<const Expr*> filters, int dop, uint64_t est_rows,
+           ColumnMask needed);
 
   /// Parallel partial aggregation (Mode::kPartialAgg). Output rows are
   /// [group values..., aggregate results...] like HashAggOp.
   GatherOp(const TableInfo* table, size_t offset, size_t wide_width,
            std::vector<const Expr*> filters, int dop, uint64_t est_rows,
            std::vector<const Expr*> group_exprs,
-           std::vector<const Expr*> agg_calls);
+           std::vector<const Expr*> agg_calls,
+           ColumnMask needed);
 
   size_t OutputWidth() const override;
   std::string Describe(bool analyze) const override;
@@ -71,11 +74,11 @@ class GatherOp : public Operator {
 
   /// Partitioned hash-join build (called by HashJoinOp instead of Open).
   /// Scans in parallel, evaluates `keys` per surviving row in the worker
-  /// lanes, and fills `*table` in morsel order. Rows with NULL keys are
-  /// dropped (SQL equi-join semantics).
+  /// lanes, and fills `*table` in morsel order with rows packed to
+  /// `ranges`. Rows with NULL keys are dropped (SQL equi-join semantics).
   Status BuildJoinTable(ExecContext* ctx, const std::vector<const Expr*>& keys,
-                        std::unordered_map<std::string, std::vector<Row>>* table,
-                        uint64_t est_build_rows);
+                        const std::vector<FilledRange>& ranges,
+                        JoinHashTable* table, uint64_t est_build_rows);
 
  protected:
   Status OpenImpl(ExecContext* ctx) override;
@@ -93,7 +96,6 @@ class GatherOp : public Operator {
     RowBatch batch;          // filled rows awaiting hand-off
     size_t tail_first = 0;   // start of the not-yet-filtered tail
     SelVector sel;
-    Row table_row;
   };
 
   /// Runs the parallel region: partitions the heap into morsels, executes
@@ -124,6 +126,7 @@ class GatherOp : public Operator {
   Mode mode_;
   std::vector<const Expr*> group_exprs_;
   std::vector<const Expr*> agg_calls_;
+  ColumnMask needed_;
 
   std::vector<Morsel> morsels_;
   std::vector<std::vector<Row>> morsel_rows_;  // kRows: per-morsel output

@@ -501,12 +501,12 @@ Status EvalProjectionBatch(const std::vector<const Expr*>& exprs,
                            RowBatch* out) {
   for (size_t i = 0; i < in.size(); ++i) {
     ec->row = &in.row(i);
+    // EvalExpr overwrites each value whole, so the recycled slot's storage
+    // is reused.
     Row& dst = out->AppendRow();
-    dst.reserve(exprs.size());
-    for (const Expr* e : exprs) {
-      Value v;
-      R3_RETURN_IF_ERROR(EvalExpr(*e, *ec, &v));
-      dst.push_back(std::move(v));
+    dst.resize(exprs.size());
+    for (size_t j = 0; j < exprs.size(); ++j) {
+      R3_RETURN_IF_ERROR(EvalExpr(*exprs[j], *ec, &dst[j]));
     }
   }
   return Status::OK();

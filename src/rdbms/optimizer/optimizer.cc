@@ -602,16 +602,6 @@ AccessPath ChooseAccessPath(const BoundTableRef& t,
   return best;
 }
 
-std::vector<FilledRange> RangesFor(const BoundQuery& bq,
-                                   const std::set<size_t>& tables) {
-  std::vector<FilledRange> out;
-  for (size_t t : tables) {
-    out.push_back(FilledRange{bq.tables[t].offset,
-                              bq.tables[t].table->schema.NumColumns()});
-  }
-  return out;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -850,6 +840,46 @@ Result<Optimizer::PlanResult> Optimizer::PlanQueryTree(BoundQuery* bq) {
     return RowCountOf(*ref.table) >= options_.parallel_threshold_rows;
   };
 
+  // Projection set of table t: every wide-row position any expression of
+  // this query level reads, rebased to the table. Scans of every engine
+  // decode only these columns. With subqueries present fall back to all
+  // columns (empty mask) — a deeply nested correlation could reference a
+  // position no top-level walk sees.
+  std::set<size_t> referenced;
+  if (bq->subqueries.empty()) {
+    ForEachExprOfQuery(
+        *bq, [&](const Expr& e) { CollectPositions(e, *bq, &referenced); });
+  }
+  auto needed_mask = [&](size_t t) -> ColumnMask {
+    if (!bq->subqueries.empty()) return ColumnMask();
+    const BoundTableRef& ref = bq->tables[t];
+    ColumnMask mask(ref.table->schema.NumColumns(), false);
+    for (size_t p : referenced) {
+      if (p >= ref.offset && p < ref.offset + mask.size()) {
+        mask[p - ref.offset] = true;
+      }
+    }
+    return mask;
+  };
+  // The wide-row ranges a join's build or inner side fills for table t:
+  // the runs of its needed columns. Its other positions are NULL on both
+  // sides of the join, so they need no copying.
+  auto filled_ranges = [&](size_t t) -> std::vector<FilledRange> {
+    const BoundTableRef& ref = bq->tables[t];
+    const ColumnMask mask = needed_mask(t);
+    std::vector<FilledRange> out;
+    for (size_t c = 0; c < ref.table->schema.NumColumns(); ++c) {
+      if (!mask.empty() && !mask[c]) continue;
+      const size_t pos = ref.offset + c;
+      if (!out.empty() && out.back().offset + out.back().width == pos) {
+        ++out.back().width;
+      } else {
+        out.push_back(FilledRange{pos, 1});
+      }
+    }
+    return out;
+  };
+
   auto make_scan = [&](size_t t) -> OperatorPtr {
     const TableCandidate& cand = cands[t];
     const BoundTableRef& ref = bq->tables[t];
@@ -861,42 +891,20 @@ Result<Optimizer::PlanResult> Optimizer::PlanQueryTree(BoundQuery* bq) {
     for (const Expr* s : cand.singles) {
       if (cand.path.consumed.count(s) == 0) residual.push_back(s);
     }
+    OperatorPtr op;
     if (cand.path.index != nullptr) {
-      auto op = std::make_unique<IndexScanOp>(ref.table, cand.path.index,
-                                              ref.offset, bq->wide_width,
-                                              cand.path.bounds, residual);
-      op->set_est_rows(scan_est);
-      return op;
+      op = std::make_unique<IndexScanOp>(ref.table, cand.path.index,
+                                         ref.offset, bq->wide_width,
+                                         cand.path.bounds, residual,
+                                         needed_mask(t));
+    } else if (parallel_eligible(t)) {
+      op = std::make_unique<GatherOp>(ref.table, ref.offset, bq->wide_width,
+                                      residual, options_.dop, scan_est,
+                                      needed_mask(t));
+    } else {
+      op = std::make_unique<SeqScanOp>(ref.table, ref.offset, bq->wide_width,
+                                       residual, needed_mask(t));
     }
-    if (parallel_eligible(t)) {
-      auto op = std::make_unique<GatherOp>(ref.table, ref.offset,
-                                           bq->wide_width, residual,
-                                           options_.dop, scan_est);
-      op->set_est_rows(scan_est);
-      return op;
-    }
-    // Projection set for engines that materialize lazily: every wide-row
-    // position any expression of this query level reads, rebased to the
-    // table. With subqueries present fall back to all columns — a deeply
-    // nested correlation could reference a position no top-level walk sees.
-    std::optional<std::vector<size_t>> needed;
-    if (ref.table->storage->kind() != EngineKind::kRowHeap &&
-        bq->subqueries.empty()) {
-      std::set<size_t> positions;
-      ForEachExprOfQuery(
-          *bq, [&](const Expr& e) { CollectPositions(e, *bq, &positions); });
-      const size_t ncols = ref.table->schema.NumColumns();
-      std::vector<size_t> local;
-      for (size_t p : positions) {
-        if (p >= ref.offset && p < ref.offset + ncols) {
-          local.push_back(p - ref.offset);
-        }
-      }
-      needed = std::move(local);
-    }
-    auto op = std::make_unique<SeqScanOp>(ref.table, ref.offset,
-                                          bq->wide_width, residual,
-                                          std::move(needed));
     op->set_est_rows(scan_est);
     return op;
   };
@@ -1197,26 +1205,24 @@ Result<Optimizer::PlanResult> Optimizer::PlanQueryTree(BoundQuery* bq) {
             }
           }
         }
-        tree = std::make_unique<IndexNLJoinOp>(std::move(tree), ref.table, idx,
-                                               ref.offset, probe_exprs,
-                                               inl_residual, outer);
+        tree = std::make_unique<IndexNLJoinOp>(
+            std::move(tree), ref.table, idx, ref.offset, probe_exprs,
+            inl_residual, outer, needed_mask(t));
         built = true;
         break;
       }
     }
     if (!built && !t_keys.empty()) {
       // Hash join; t is the build side (its scan applies pushed filters).
-      std::set<size_t> t_set{t};
       tree = std::make_unique<HashJoinOp>(
           make_scan(t), std::move(tree), t_keys, s_keys, residual,
-          RangesFor(*bq, t_set), outer,
+          filled_ranges(t), outer,
           static_cast<uint64_t>(std::max(0.0, cands[t].path.est_rows)));
       built = true;
     }
     if (!built) {
-      std::set<size_t> t_set{t};
       tree = std::make_unique<NestedLoopsJoinOp>(std::move(tree), make_scan(t),
-                                                 residual, RangesFor(*bq, t_set),
+                                                 residual, filled_ranges(t),
                                                  outer);
     }
     // Estimated join output rows, for EXPLAIN ANALYZE drift reporting.
@@ -1256,7 +1262,7 @@ Result<Optimizer::PlanResult> Optimizer::PlanQueryTree(BoundQuery* bq) {
           bq->tables[0].table, bq->tables[0].offset, bq->wide_width,
           std::move(filters), options_.dop,
           static_cast<uint64_t>(std::max(0.0, cands[0].path.est_rows)),
-          groups, aggs);
+          groups, aggs, needed_mask(0));
     } else {
       tree = std::make_unique<HashAggOp>(
           std::move(tree), groups, aggs,

@@ -95,76 +95,108 @@ Status SerializeRow(const Schema& schema, const Row& row, std::string* out) {
   return Status::OK();
 }
 
-Status DeserializeRow(const Schema& schema, std::string_view data, Row* row) {
-  row->clear();
-  row->reserve(schema.NumColumns());
+Status DecodeIntoWide(const Schema& schema, std::string_view data,
+                      const ColumnMask& needed, size_t offset,
+                      size_t wide_width, Row* wide) {
+  const size_t ncols = schema.NumColumns();
+  if (offset + ncols > wide_width) {
+    return Status::Internal(
+        str::Format("table columns [%zu, %zu) exceed a wide row of %zu",
+                    offset, offset + ncols, wide_width));
+  }
+  wide->resize(wide_width);
+  Value* out = wide->data();
+  auto null_range = [out](size_t from, size_t to) {
+    for (size_t i = from; i < to; ++i) {
+      if (!out[i].is_null()) out[i].SetNull(DataType::kInt64);
+    }
+  };
+  null_range(0, offset);
+  null_range(offset + ncols, wide_width);
+  out += offset;
   size_t pos = 0;
-  auto need = [&](size_t n) -> bool { return pos + n <= data.size(); };
-  for (size_t i = 0; i < schema.NumColumns(); ++i) {
+  auto need = [&](size_t n) -> bool { return n <= data.size() - pos; };
+  for (size_t i = 0; i < ncols; ++i) {
     const Column& col = schema.column(i);
+    Value& v = out[i];
     if (!need(1)) return Status::Internal("row truncated (null byte)");
-    bool is_null = data[pos++] != 0;
-    if (is_null) {
-      row->push_back(Value::Null(col.type));
+    if (data[pos++] != 0) {
+      v.SetNull(col.type);
       continue;
     }
+    const bool want = needed.empty() || needed[i];
+    const char* p = data.data() + pos;
     switch (col.type) {
       case DataType::kBool:
         if (!need(1)) return Status::Internal("row truncated (bool)");
-        row->push_back(Value::Bool(data[pos++] != 0));
+        if (want) v.SetInt(DataType::kBool, *p != 0 ? 1 : 0);
+        pos += 1;
         break;
       case DataType::kInt64: {
-        size_t w = col.length == 4 ? 4 : 8;
+        const size_t w = col.length == 4 ? 4 : 8;
         if (!need(w)) return Status::Internal("row truncated (int)");
-        row->push_back(Value::Int(SignExtend(ReadFixedInt(data.data() + pos, w), w)));
+        if (want) v.SetInt(DataType::kInt64, SignExtend(ReadFixedInt(p, w), w));
         pos += w;
         break;
       }
       case DataType::kDouble: {
         if (!need(8)) return Status::Internal("row truncated (double)");
-        uint64_t bits = ReadFixedInt(data.data() + pos, 8);
+        if (want) {
+          uint64_t bits = ReadFixedInt(p, 8);
+          double d;
+          std::memcpy(&d, &bits, 8);
+          v.SetDbl(d);
+        }
         pos += 8;
-        double d;
-        std::memcpy(&d, &bits, 8);
-        row->push_back(Value::Dbl(d));
         break;
       }
-      case DataType::kDecimal: {
+      case DataType::kDecimal:
         if (!need(8)) return Status::Internal("row truncated (decimal)");
-        row->push_back(Value::DecimalFromCents(
-            static_cast<int64_t>(ReadFixedInt(data.data() + pos, 8))));
+        if (want) {
+          v.SetInt(DataType::kDecimal,
+                   static_cast<int64_t>(ReadFixedInt(p, 8)));
+        }
         pos += 8;
         break;
-      }
-      case DataType::kDate: {
+      case DataType::kDate:
         if (!need(4)) return Status::Internal("row truncated (date)");
-        row->push_back(Value::Date(static_cast<int32_t>(
-            SignExtend(ReadFixedInt(data.data() + pos, 4), 4))));
+        if (want) v.SetInt(DataType::kDate, SignExtend(ReadFixedInt(p, 4), 4));
         pos += 4;
         break;
-      }
       case DataType::kString: {
-        if (col.length > 0) {
-          if (!need(col.length)) return Status::Internal("row truncated (char)");
-          row->push_back(
-              Value::Str(str::RTrim(data.substr(pos, col.length))));
-          pos += col.length;
+        size_t len = col.length;
+        if (len > 0) {
+          if (!need(len)) return Status::Internal("row truncated (char)");
         } else {
           if (!need(2)) return Status::Internal("row truncated (varlen)");
-          size_t len = ReadFixedInt(data.data() + pos, 2);
+          len = ReadFixedInt(p, 2);
           pos += 2;
+          p += 2;
           if (!need(len)) return Status::Internal("row truncated (varchar)");
-          row->push_back(Value::Str(std::string(data.substr(pos, len))));
-          pos += len;
         }
+        if (want) {
+          std::string_view s(p, len);
+          // CHAR(n) is blank-padded on write and trimmed on read.
+          if (col.length > 0) {
+            while (!s.empty() && s.back() == ' ') s.remove_suffix(1);
+          }
+          v.SetStr(s);
+        }
+        pos += len;
         break;
       }
     }
+    if (!want) v.SetNull(col.type);
   }
   if (pos != data.size()) {
     return Status::Internal("trailing bytes after row");
   }
   return Status::OK();
+}
+
+Status DeserializeRow(const Schema& schema, std::string_view data, Row* row) {
+  return DecodeIntoWide(schema, data, ColumnMask(), 0, schema.NumColumns(),
+                        row);
 }
 
 size_t SerializedRowSize(const Schema& schema, const Row& row) {

@@ -49,13 +49,15 @@ class RowBatch {
   /// Empties the batch; capacity and slot storage are kept.
   void Clear() { size_ = 0; }
 
-  /// Appends an empty row slot and returns it for in-place filling. The
-  /// returned reference is invalidated by the next Append/Push call.
+  /// Appends a slot and returns it for in-place filling. The slot is not
+  /// cleared: it still holds whatever row used it last, possibly of another
+  /// width or table, so the caller overwrites every position
+  /// (DecodeIntoWide, or assigning a whole row) and the slot's Value
+  /// storage is reused instead of destroyed and rebuilt. The returned
+  /// reference is invalidated by the next Append/Push call.
   Row& AppendRow() {
     if (slots_.size() <= size_) slots_.emplace_back();
-    Row& slot = slots_[size_++];
-    slot.clear();
-    return slot;
+    return slots_[size_++];
   }
 
   /// Appends by move (the slot's previous storage is dropped).

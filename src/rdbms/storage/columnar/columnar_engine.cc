@@ -53,15 +53,11 @@ class ColumnarScanCursor : public ScanCursor {
         snapshot_(spec.snapshot),
         offset_(spec.offset),
         wide_width_(spec.wide_width),
-        dict_eqs_(spec.dict_eqs) {
+        dict_eqs_(spec.dict_eqs),
+        needed_(spec.needed) {
     const size_t ncols = engine_->schema_->NumColumns();
-    if (spec.all_columns) {
-      for (size_t c = 0; c < ncols; ++c) mat_cols_.push_back(c);
-    } else {
-      mat_cols_ = spec.needed_cols;
-      std::sort(mat_cols_.begin(), mat_cols_.end());
-      mat_cols_.erase(std::unique(mat_cols_.begin(), mat_cols_.end()),
-                      mat_cols_.end());
+    for (size_t c = 0; c < ncols; ++c) {
+      if (needed_.empty() || needed_[c]) mat_cols_.push_back(c);
     }
     scan_cols_ = spec.filter_cols;
     std::sort(scan_cols_.begin(), scan_cols_.end());
@@ -237,17 +233,11 @@ class ColumnarScanCursor : public ScanCursor {
     }
   }
 
-  /// Materializes every column from a serialized record image (MVCC alt
-  /// versions and ghosts carry the whole row).
+  /// Materializes the needed columns from a serialized record image (MVCC
+  /// alt versions and ghosts carry the whole row).
   Status StageRecordRow(std::string_view rec) {
-    R3_RETURN_IF_ERROR(
-        DeserializeRow(*engine_->schema_, rec, &table_row_));
-    Row& wide = staged_.emplace_back();
-    wide.assign(wide_width_, Value::Null());
-    for (size_t i = 0; i < table_row_.size(); ++i) {
-      wide[offset_ + i] = std::move(table_row_[i]);
-    }
-    return Status::OK();
+    return DecodeIntoWide(*engine_->schema_, rec, needed_, offset_,
+                          wide_width_, &staged_.emplace_back());
   }
 
   const ColumnarEngine* engine_;
@@ -256,6 +246,7 @@ class ColumnarScanCursor : public ScanCursor {
   size_t offset_;
   size_t wide_width_;
   std::vector<ScanSpec::DictEq> dict_eqs_;
+  ColumnMask needed_;
 
   std::vector<size_t> mat_cols_;
   std::vector<size_t> scan_cols_;
@@ -271,7 +262,6 @@ class ColumnarScanCursor : public ScanCursor {
   uint64_t byte_acc_ = 0;
   std::vector<Row> staged_;
   size_t stage_pos_ = 0;
-  Row table_row_;
   std::string alt_rec_;
   std::vector<std::pair<uint16_t, std::string>> ghosts_;
 };

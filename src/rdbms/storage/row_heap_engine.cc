@@ -27,7 +27,8 @@ class RowHeapScanCursor : public ScanCursor {
         mvcc_(spec.mvcc),
         snapshot_(spec.snapshot),
         offset_(spec.offset),
-        wide_width_(spec.wide_width) {}
+        wide_width_(spec.wide_width),
+        needed_(spec.needed) {}
 
   Status BeginBatch() override {
     R3_ASSIGN_OR_RETURN(num_pages_, heap_->NumPages());
@@ -46,8 +47,7 @@ class RowHeapScanCursor : public ScanCursor {
       while (ghost_pos_ < pending_ghosts_.size() && !out->full()) {
         pool_->clock()->ChargeDbmsTuple();
         const std::string& rec = pending_ghosts_[ghost_pos_++].second;
-        R3_RETURN_IF_ERROR(DeserializeRow(*schema_, rec, &table_row_));
-        EmitWideRow(out);
+        R3_RETURN_IF_ERROR(Decode(rec, out));
       }
     } else if (page_no_ >= num_pages_) {
       return false;
@@ -72,8 +72,7 @@ class RowHeapScanCursor : public ScanCursor {
               continue;
           }
         }
-        R3_RETURN_IF_ERROR(DeserializeRow(*schema_, rec, &table_row_));
-        EmitWideRow(out);
+        R3_RETURN_IF_ERROR(Decode(rec, out));
       }
       if (slot_ >= page.slot_count()) {
         if (mvcc_active_) {
@@ -90,12 +89,9 @@ class RowHeapScanCursor : public ScanCursor {
   }
 
  private:
-  void EmitWideRow(RowBatch* out) {
-    Row& wide = out->AppendRow();
-    wide.assign(wide_width_, Value::Null());
-    for (size_t i = 0; i < table_row_.size(); ++i) {
-      wide[offset_ + i] = std::move(table_row_[i]);
-    }
+  Status Decode(std::string_view rec, RowBatch* out) {
+    return DecodeIntoWide(*schema_, rec, needed_, offset_, wide_width_,
+                          &out->AppendRow());
   }
 
   BufferPool* pool_;
@@ -105,12 +101,12 @@ class RowHeapScanCursor : public ScanCursor {
   const txn::Snapshot* snapshot_;
   size_t offset_;
   size_t wide_width_;
+  ColumnMask needed_;
 
   uint32_t num_pages_ = 0;
   bool mvcc_active_ = false;
   uint32_t page_no_ = 0;
   uint32_t slot_ = 0;
-  Row table_row_;
   std::string alt_rec_;
   std::vector<std::pair<uint16_t, std::string>> pending_ghosts_;
   size_t ghost_pos_ = 0;

@@ -54,13 +54,12 @@ struct ScanSpec {
   const txn::Snapshot* snapshot = nullptr;   ///< null = no MVCC checks
   size_t offset = 0;
   size_t wide_width = 0;
-  /// Local column ids (0-based within the table) the consumer will actually
-  /// read; engines that can project (columnar) materialize only these.
-  /// `all_columns` true means materialize everything (row heap always does).
-  bool all_columns = true;
-  std::vector<size_t> needed_cols;
+  /// The table's columns the consumer will actually read, by local id;
+  /// every engine materializes only these (the row heap still walks each
+  /// record whole, but decodes just these columns). Empty = every column.
+  ColumnMask needed;
   /// Local column ids referenced by the scan's filter predicates (subset of
-  /// needed_cols); a columnar engine charges these as its "scan" columns.
+  /// `needed`); a columnar engine charges these as its "scan" columns.
   std::vector<size_t> filter_cols;
   /// Exact-match string predicates safe to evaluate inside a columnar
   /// engine via dictionary-code comparison. The operator keeps the original

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
 
@@ -35,8 +36,37 @@ bool IsNumeric(DataType t) {
          t == DataType::kDecimal;
 }
 
+namespace {
+
+/// True when `d` converts to int64 without overflow; false for NaN and ±inf.
+bool FitsInt64(double d) {
+  return d >= -9223372036854775808.0 && d < 9223372036854775808.0;
+}
+
+/// `d` truncated toward zero, saturated to the int64 range (NaN -> 0), so
+/// the conversion is defined for every double.
+int64_t SaturatingInt64(double d) {
+  if (FitsInt64(d)) return static_cast<int64_t>(d);
+  if (std::isnan(d)) return 0;
+  return d < 0 ? INT64_MIN : INT64_MAX;
+}
+
+/// `d` (the numeric reading of `from`) rounded once to cents as a DECIMAL,
+/// or InvalidArgument when the cents leave int64, NaN and ±inf included.
+Result<Value> CheckedDecimal(double d, const Value& from) {
+  const double cents = std::round(d * 100.0);
+  if (!FitsInt64(cents)) {
+    return Status::InvalidArgument("value " + from.ToString() +
+                                   " out of range for DECIMAL");
+  }
+  return Value::DecimalFromCents(static_cast<int64_t>(cents));
+}
+
+}  // namespace
+
 Value Value::Decimal(double d) {
-  return DecimalFromCents(static_cast<int64_t>(std::llround(d * 100.0)));
+  const double cents = std::round(d * 100.0);
+  return DecimalFromCents(SaturatingInt64(cents));
 }
 
 double Value::AsDouble() const {
@@ -53,7 +83,7 @@ double Value::AsDouble() const {
 int64_t Value::AsInt() const {
   switch (type_) {
     case DataType::kDouble:
-      return static_cast<int64_t>(d_);
+      return SaturatingInt64(d_);
     case DataType::kDecimal:
       return i_ / 100;
     default:
@@ -153,6 +183,11 @@ Result<Value> Value::CastTo(DataType target) const {
     case DataType::kInt64:
       switch (type_) {
         case DataType::kDouble:
+          if (!FitsInt64(d_)) {
+            return Status::InvalidArgument("value " + ToString() +
+                                           " out of range for INT");
+          }
+          [[fallthrough]];
         case DataType::kDecimal:
         case DataType::kBool:
         case DataType::kDate:
@@ -185,7 +220,7 @@ Result<Value> Value::CastTo(DataType target) const {
       }
       break;
     case DataType::kDecimal:
-      if (IsNumeric(type_)) return Decimal(AsDouble());
+      if (IsNumeric(type_)) return CheckedDecimal(AsDouble(), *this);
       if (type_ == DataType::kString) {
         std::string t = str::Trim(s_);
         char* end = nullptr;
@@ -194,7 +229,7 @@ Result<Value> Value::CastTo(DataType target) const {
           return Status::InvalidArgument("cannot cast '" + s_ +
                                          "' to DECIMAL");
         }
-        return Decimal(d);
+        return CheckedDecimal(d, *this);
       }
       break;
     case DataType::kString:

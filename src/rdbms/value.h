@@ -69,6 +69,38 @@ class Value {
     return MakeInt(DataType::kDate, day_number);
   }
 
+  /// In-place setters for decode loops: each overwrites the whole value
+  /// like the matching factory, but keeps the string buffer's capacity, so
+  /// a reused row slot refills without allocating.
+  void SetNull(DataType t) {
+    type_ = t;
+    null_ = true;
+    i_ = 0;
+    d_ = 0.0;
+    s_.clear();
+  }
+  void SetInt(DataType t, int64_t i) {
+    type_ = t;
+    null_ = false;
+    i_ = i;
+    d_ = 0.0;
+    s_.clear();
+  }
+  void SetDbl(double d) {
+    type_ = DataType::kDouble;
+    null_ = false;
+    i_ = 0;
+    d_ = d;
+    s_.clear();
+  }
+  void SetStr(std::string_view s) {
+    type_ = DataType::kString;
+    null_ = false;
+    i_ = 0;
+    d_ = 0.0;
+    s_.assign(s.data(), s.size());
+  }
+
   DataType type() const { return type_; }
   bool is_null() const { return null_; }
 

@@ -5,6 +5,7 @@
 
 #include "appsys/app_server.h"
 #include "common/metrics.h"
+#include "common/str_util.h"
 
 namespace r3 {
 namespace appsys {
@@ -161,6 +162,53 @@ TEST_F(AppSysTest, ClusterBundlesRows) {
                DictCond{"KNUMV", CmpOp::kEq, Value::Str("D1")}});
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows.value().size(), 2u);
+}
+
+TEST_F(AppSysTest, CorruptClusterBundleFailsWithStatus) {
+  DataDictionary* dict = sys_->app.dictionary();
+  ASSERT_OK(dict->InsertLogical("KONV", KonvRow("D1", 1, "DISC", 50, 100)));
+  auto read = [&] {
+    return dict->ReadLogical(
+        "KONV", {DictCond{"KNUMV", CmpOp::kEq, Value::Str("D1")}});
+  };
+  ASSERT_TRUE(read().ok());
+  auto phys = sys_->db.Query("SELECT VARDATA FROM KOCLU");
+  ASSERT_TRUE(phys.ok()) << phys.status().ToString();
+  const std::vector<std::string> good =
+      str::Split(phys.value().rows[0][0].string_value(), '\x01');
+  ASSERT_EQ(good.size(), 6u);  // MANDT KNUMV KPOSN KSCHL KBETR KAWRT
+  auto store = [&](const std::vector<std::string>& fields) {
+    return sys_->db.Execute("UPDATE KOCLU SET VARDATA = ?",
+                            {Value::Str(str::Join(fields, "\x01"))});
+  };
+  // A malformed number in KPOSN (INT) or KBETR (DECIMAL) used to read as 0.
+  for (size_t field : {2u, 4u}) {
+    for (const char* bad : {"12x", "", " 7", "1e5", "99999999999999999999"}) {
+      std::vector<std::string> fields = good;
+      fields[field] = bad;
+      ASSERT_OK(store(fields));
+      auto rows = read();
+      ASSERT_FALSE(rows.ok()) << "field " << field << " = '" << bad << "'";
+      EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  // Open SQL surfaces the same error rather than a row of zeros.
+  OpenSqlQuery q;
+  q.table = "KONV";
+  q.where = {OsqlCond::Eq("KNUMV", Value::Str("D1"))};
+  EXPECT_FALSE(sys_->app.open_sql()->Select(q).ok());
+  // A wrong field count still fails as before.
+  std::vector<std::string> short_bundle = good;
+  short_bundle.pop_back();
+  ASSERT_OK(store(short_bundle));
+  EXPECT_EQ(read().status().code(), StatusCode::kInternal);
+  // Restoring the bundle restores the row.
+  ASSERT_OK(store(good));
+  auto rows = read();
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows.value().size(), 1u);
+  EXPECT_EQ(rows.value()[0][2].AsInt(), 1);
+  EXPECT_DOUBLE_EQ(rows.value()[0][4].AsDouble(), 50.0);
 }
 
 TEST_F(AppSysTest, NativeSqlCannotReachEncapsulatedTables) {

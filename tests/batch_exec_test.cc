@@ -30,8 +30,7 @@ TEST(RowBatchTest, AppendTruncatePop) {
   EXPECT_EQ(batch.capacity(), 4u);
   EXPECT_TRUE(batch.empty());
   for (int i = 0; i < 4; ++i) {
-    Row& r = batch.AppendRow();
-    r.push_back(Value::Int(i));
+    batch.AppendRow() = Row{Value::Int(i)};
   }
   EXPECT_TRUE(batch.full());
   EXPECT_EQ(batch.size(), 4u);
@@ -43,17 +42,19 @@ TEST(RowBatchTest, AppendTruncatePop) {
   EXPECT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch.row(0)[0].AsInt(), 0);
 
-  // Reset empties but keeps capacity; appended slots are reused cleared.
+  // Reset empties but keeps capacity and slot storage; an appended slot is
+  // not cleared, it still holds the row that used it last.
   batch.Reset(4);
   EXPECT_TRUE(batch.empty());
   Row& r = batch.AppendRow();
-  EXPECT_TRUE(r.empty());
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].AsInt(), 0);
 }
 
 TEST(RowBatchTest, KeepCompactsFromOffset) {
   RowBatch batch(8);
   for (int i = 0; i < 8; ++i) {
-    batch.AppendRow().push_back(Value::Int(i));
+    batch.AppendRow() = Row{Value::Int(i)};
   }
   // Keep rows 0..2 untouched, then survivors {4, 6, 7} of the tail.
   SelVector sel = {4, 6, 7};

@@ -1,5 +1,7 @@
 // Property tests for the two wire formats:
-//  * row serialization round-trips exactly for random rows (TEST_P sweep);
+//  * row serialization round-trips exactly for random rows (TEST_P sweep),
+//    and DecodeIntoWide's needed-column decode into a reused wide row
+//    matches the full decode and rejects malformed records;
 //  * the memcomparable key codec preserves value order bytewise.
 #include <gtest/gtest.h>
 
@@ -122,6 +124,107 @@ TEST(RowCodecTest, Int4WidthRejectsValuesItWouldTruncate) {
                     int64_t{4294967297}}) {
     Status st = SerializeRow(s, Row{Value::Int(v)}, &bytes);
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << v;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// DecodeIntoWide: late materialisation into a wide-row slot
+// ---------------------------------------------------------------------------
+
+TEST(DecodeIntoWideTest, NeededSubsetMatchesFullDecode) {
+  Rng rng(4242);
+  Schema schema = TestSchema();
+  const size_t n = schema.NumColumns();
+  const size_t offset = 3;
+  const size_t width = offset + n + 2;
+  Row wide;  // reused across rows and masks, as a batch slot is
+  for (int iter = 0; iter < 200; ++iter) {
+    Row row;
+    for (size_t c = 0; c < n; ++c) {
+      row.push_back(RandomValueFor(&rng, schema.column(c)));
+    }
+    std::string bytes;
+    ASSERT_TRUE(SerializeRow(schema, row, &bytes).ok());
+    Row full;
+    ASSERT_TRUE(DeserializeRow(schema, bytes, &full).ok());
+    ColumnMask needed(n, false);
+    for (size_t c = 0; c < n; ++c) needed[c] = rng.Bernoulli(0.4);
+    ASSERT_TRUE(
+        DecodeIntoWide(schema, bytes, needed, offset, width, &wide).ok());
+    ASSERT_EQ(wide.size(), width);
+    for (size_t c = 0; c < n; ++c) {
+      const Value& got = wide[offset + c];
+      if (!needed[c]) {
+        EXPECT_TRUE(got.is_null()) << "unneeded col " << c;
+        continue;
+      }
+      EXPECT_EQ(got.is_null(), full[c].is_null()) << "col " << c;
+      EXPECT_EQ(got.type(), full[c].type()) << "col " << c;
+      EXPECT_EQ(got.Compare(full[c]), 0)
+          << "col " << c << ": " << got.ToString() << " vs "
+          << full[c].ToString();
+    }
+  }
+}
+
+TEST(DecodeIntoWideTest, BadRecordRejectedEvenWhenBadColumnUnneeded) {
+  Schema s({ColInt("A"), ColChar("C", 6), ColVarchar("V")});
+  std::string bytes;
+  ASSERT_TRUE(SerializeRow(s, Row{Value::Int(7), Value::Str("ab"),
+                                  Value::Str("hello")},
+                           &bytes)
+                  .ok());
+  const ColumnMask only_a = {true, false, false};
+  Row wide;
+  ASSERT_TRUE(DecodeIntoWide(s, bytes, only_a, 0, 3, &wide).ok());
+  EXPECT_EQ(wide[0].int_value(), 7);
+  // The VARCHAR is cut short, or followed by junk: column V is not needed,
+  // but the record is still walked whole and rejected.
+  EXPECT_FALSE(
+      DecodeIntoWide(s, bytes.substr(0, bytes.size() - 2), only_a, 0, 3, &wide)
+          .ok());
+  EXPECT_FALSE(DecodeIntoWide(s, bytes + "x", only_a, 0, 3, &wide).ok());
+  // A CHAR payload cut short inside an unneeded column.
+  EXPECT_FALSE(DecodeIntoWide(s, bytes.substr(0, 1 + 8 + 1 + 3), only_a, 0, 3,
+                              &wide)
+                   .ok());
+  // A wide row too narrow for the table's range.
+  EXPECT_FALSE(DecodeIntoWide(s, bytes, only_a, 1, 3, &wide).ok());
+}
+
+TEST(DecodeIntoWideTest, RecycledSlotIsNullOutsideTheRange) {
+  Schema other({ColVarchar("X"), ColInt("Y"), ColChar("Z", 4)});
+  Schema s({ColInt("A"), ColChar("C", 6)});
+  std::string other_bytes, bytes;
+  ASSERT_TRUE(SerializeRow(other, Row{Value::Str("stale"), Value::Int(9),
+                                      Value::Str("zz")},
+                           &other_bytes)
+                  .ok());
+  ASSERT_TRUE(
+      SerializeRow(s, Row{Value::Int(1), Value::Str("ab")}, &bytes).ok());
+  // The slot first holds another table's row at another offset and width,
+  // as a hash join's drain buffer does before it turns into the probe batch.
+  Row slot;
+  ASSERT_TRUE(DecodeIntoWide(other, other_bytes, ColumnMask(), 2, 6, &slot)
+                  .ok());
+  ASSERT_EQ(slot[2].string_value(), "stale");
+  ASSERT_TRUE(DecodeIntoWide(s, bytes, ColumnMask(), 0, 5, &slot).ok());
+  ASSERT_EQ(slot.size(), 5u);
+  EXPECT_EQ(slot[0].int_value(), 1);
+  EXPECT_EQ(slot[1].string_value(), "ab");
+  for (size_t i = 2; i < slot.size(); ++i) {
+    EXPECT_TRUE(slot[i].is_null()) << "position " << i;
+    EXPECT_EQ(slot[i].ToString(), "NULL");
+  }
+  // Widening again: the new tail positions are NULL too.
+  ASSERT_TRUE(
+      DecodeIntoWide(s, bytes, ColumnMask{false, true}, 4, 8, &slot).ok());
+  for (size_t i = 0; i < slot.size(); ++i) {
+    if (i == 5) {
+      EXPECT_EQ(slot[i].string_value(), "ab");
+    } else {
+      EXPECT_TRUE(slot[i].is_null()) << "position " << i;
+    }
   }
 }
 

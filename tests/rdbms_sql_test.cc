@@ -114,6 +114,44 @@ TEST_F(SqlTest, LeftOuterJoin) {
   EXPECT_TRUE(r.rows[0][1].is_null());
 }
 
+TEST_F(SqlTest, NonEquiJoinsCarryTheInnerColumnsRead) {
+  // A non-equi join runs as nested loops over a materialized inner side that
+  // keeps only the columns the query reads (here emp's id, name and hired:
+  // three separate runs of the wide row).
+  const char* inner_sql =
+      "SELECT d.name, e.name, e.hired FROM dept d, emp e "
+      "WHERE e.id > d.id + 11 ORDER BY d.name, e.name";
+  auto plan = db_->Explain(inner_sql);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan.value().find("NLJoin"), std::string::npos) << plan.value();
+  QueryResult r = Q(inner_sql);
+  ASSERT_EQ(r.rows.size(), 3u);
+  EXPECT_EQ(r.rows[0][0].string_value(), "eng");
+  EXPECT_EQ(r.rows[0][1].string_value(), "alan");
+  EXPECT_EQ(r.rows[0][2].ToString(), "1995-07-07");
+  EXPECT_EQ(r.rows[1][1].string_value(), "lonely");
+  EXPECT_EQ(r.rows[2][0].string_value(), "sales");
+  EXPECT_EQ(r.rows[2][1].string_value(), "lonely");
+  EXPECT_EQ(r.rows[2][2].ToString(), "1996-01-01");
+
+  const char* outer_sql =
+      "SELECT d.name, e.name, e.hired FROM dept d LEFT JOIN emp e "
+      "ON e.id > d.id + 11 ORDER BY d.name, e.name";
+  plan = db_->Explain(outer_sql);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan.value().find("NLOuterJoin"), std::string::npos)
+      << plan.value();
+  r = Q(outer_sql);
+  ASSERT_EQ(r.rows.size(), 4u);
+  EXPECT_EQ(r.rows[0][0].string_value(), "empty");
+  EXPECT_TRUE(r.rows[0][1].is_null());
+  EXPECT_TRUE(r.rows[0][2].is_null());
+  EXPECT_EQ(r.rows[1][1].string_value(), "alan");
+  EXPECT_EQ(r.rows[1][2].ToString(), "1995-07-07");
+  EXPECT_EQ(r.rows[3][0].string_value(), "sales");
+  EXPECT_EQ(r.rows[3][1].string_value(), "lonely");
+}
+
 TEST_F(SqlTest, GroupByAggregates) {
   QueryResult r = Q(
       "SELECT dept_id, COUNT(*), SUM(salary), AVG(salary), MIN(name), "
@@ -326,6 +364,23 @@ TEST_F(SqlTest, OutOfRangeIntegersAreRejected) {
   EXPECT_EQ(cast.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(cast.status().message().find("cannot cast"), std::string::npos)
       << cast.status().ToString();
+  // A double past int64 (or NaN/inf) is refused by the cast, rather than
+  // converted with undefined behaviour (it used to read INT64_MIN).
+  for (const char* sql : {"SELECT CAST(1e300 AS INT) FROM dept",
+                          "SELECT CAST(-1e300 AS INT) FROM dept",
+                          "SELECT CAST(1e300 AS DECIMAL) FROM dept",
+                          "SELECT CAST(1e17 AS DECIMAL) FROM dept"}) {
+    auto big = db_->Query(sql);
+    ASSERT_FALSE(big.ok()) << sql << " -> "
+                           << big.value().rows[0][0].ToString();
+    EXPECT_EQ(big.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_NE(big.status().message().find("out of range"), std::string::npos)
+        << big.status().ToString();
+  }
+  EXPECT_EQ(Q("SELECT CAST(2.5e3 AS INT) FROM dept WHERE id = 1")
+                .rows[0][0]
+                .int_value(),
+            2500);
   // A 4-byte INTEGER column refuses a value it would have to truncate
   // (4294967297 would have stored as 1 while its index key kept the full
   // value).

@@ -4,7 +4,8 @@
 // round-trips for CHAR columns, RLE suppression of an all-default column,
 // single-distinct-value pushdown, empty tables, the WAL/columnar mutual
 // exclusion (both orderings), crash semantics for memory-resident engines,
-// and the columnar.* metric surface.
+// late materialisation (scans leave unneeded columns NULL) and the
+// columnar.* metric surface.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -201,6 +202,46 @@ TEST(RecordIteratorTest, EmptyTableYieldsNothing) {
     auto more = it->Next(&rid, &rec);
     ASSERT_OK(more.status());
     EXPECT_FALSE(*more);
+  }
+}
+
+// -- Late materialisation ----------------------------------------------------
+
+TEST(ScanCursorTest, NeededColumnsOnlyOtherPositionsNull) {
+  for (const char* engine : {"", "columnar"}) {
+    Database db;
+    LoadSmallTable(&db, engine);
+    auto t = GetTable(&db, "T");
+    ASSERT_OK(t.status());
+    ScanSpec spec;
+    spec.offset = 1;
+    spec.wide_width = 5;  // [pad, K, S, V, pad]
+    spec.needed = {false, true, false};  // S only
+    std::unique_ptr<ScanCursor> cursor = (*t)->storage->NewScanCursor(spec);
+    RowBatch batch(16);
+    std::set<std::string> seen;
+    size_t rows = 0;
+    ASSERT_OK(cursor->BeginBatch());
+    while (true) {
+      batch.Clear();
+      auto more = cursor->NextChunk(&batch);
+      ASSERT_OK(more.status());
+      if (!*more) break;
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const Row& r = batch.row(i);
+        ASSERT_EQ(r.size(), 5u) << engine;
+        EXPECT_TRUE(r[0].is_null()) << engine;
+        EXPECT_TRUE(r[1].is_null()) << engine << ": unneeded K decoded";
+        ASSERT_FALSE(r[2].is_null()) << engine;
+        seen.insert(r[2].string_value());
+        EXPECT_TRUE(r[3].is_null()) << engine << ": unneeded V decoded";
+        EXPECT_TRUE(r[4].is_null()) << engine;
+        ++rows;
+      }
+    }
+    EXPECT_EQ(rows, 64u) << engine;
+    EXPECT_EQ(seen, (std::set<std::string>{"alpha", "beta", "gamma", "delta"}))
+        << engine;
   }
 }
 

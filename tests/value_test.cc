@@ -2,6 +2,9 @@
 // cross-numeric ordering), hashing consistency, rendering, and casts.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "common/date.h"
 #include "rdbms/value.h"
 
@@ -102,6 +105,39 @@ TEST(ValueTest, CastFromStrings) {
             date::FromYmd(1995, 6, 17));
   EXPECT_FALSE(Value::Str("abc").CastTo(DataType::kInt64).ok());
   EXPECT_FALSE(Value::Str("1.2.3").CastTo(DataType::kDouble).ok());
+}
+
+TEST(ValueTest, CastOfOutOfRangeDoubleIsRejected) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double d : {1e300, -1e300, 9.3e18, -9.3e18, inf, -inf,
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    auto i = Value::Dbl(d).CastTo(DataType::kInt64);
+    ASSERT_FALSE(i.ok()) << d << " -> " << i.value().ToString();
+    EXPECT_EQ(i.status().code(), StatusCode::kInvalidArgument) << d;
+    auto c = Value::Dbl(d).CastTo(DataType::kDecimal);
+    ASSERT_FALSE(c.ok()) << d << " -> " << c.value().ToString();
+    EXPECT_EQ(c.status().code(), StatusCode::kInvalidArgument) << d;
+  }
+  // Fits as an integer, but not once scaled to cents.
+  EXPECT_FALSE(Value::Dbl(1e17).CastTo(DataType::kDecimal).ok());
+  EXPECT_FALSE(Value::Str("1e300").CastTo(DataType::kDecimal).ok());
+  EXPECT_FALSE(
+      Value::Int(INT64_MAX).CastTo(DataType::kDecimal).ok());
+  // The edges of the range still convert.
+  EXPECT_EQ(Value::Dbl(-9223372036854775808.0)
+                .CastTo(DataType::kInt64)
+                .value()
+                .int_value(),
+            INT64_MIN);
+  EXPECT_EQ(Value::Dbl(-3.7).CastTo(DataType::kInt64).value().int_value(), -3);
+  EXPECT_EQ(
+      Value::Dbl(1e15).CastTo(DataType::kDecimal).value().decimal_cents(),
+      100000000000000000);
+  // The unchecked views saturate instead of overflowing.
+  EXPECT_EQ(Value::Dbl(1e300).AsInt(), INT64_MAX);
+  EXPECT_EQ(Value::Dbl(-inf).AsInt(), INT64_MIN);
+  EXPECT_EQ(Value::Dbl(std::numeric_limits<double>::quiet_NaN()).AsInt(), 0);
+  EXPECT_EQ(Value::Decimal(1e300).decimal_cents(), INT64_MAX);
 }
 
 TEST(ValueTest, CastToString) {
